@@ -141,6 +141,17 @@ pub fn serialize_v1(table: &CompressedTable) -> Vec<u8> {
 /// bytes can never demand more than a small constant factor of the input
 /// length in memory.
 pub fn deserialize(data: &[u8]) -> Result<CompressedTable> {
+    deserialize_with_body_crc(data, None)
+}
+
+/// [`deserialize`] for a caller that already hashed the bytes:
+/// `body_crc`, when given, must be the crc32 of `data[..data.len() - 4]`
+/// and stands in for the v2 trailer check's own pass over the body (so a
+/// table file is hashed once, not once per check). v1 data ignores it.
+pub(crate) fn deserialize_with_body_crc(
+    data: &[u8],
+    body_crc: Option<u32>,
+) -> Result<CompressedTable> {
     if data.len() < 6 || &data[..4] != MAGIC {
         return Err(DslogError::Corrupt("bad magic"));
     }
@@ -153,7 +164,7 @@ pub fn deserialize(data: &[u8]) -> Result<CompressedTable> {
             }
             let (body, trailer) = data.split_at(data.len() - 4);
             let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-            if crc32(body) != stored {
+            if body_crc.unwrap_or_else(|| crc32(body)) != stored {
                 return Err(DslogError::Corrupt("table checksum mismatch"));
             }
             body
@@ -193,9 +204,12 @@ pub fn deserialize(data: &[u8]) -> Result<CompressedTable> {
     // Read per-column directly into the table's columnar layout. `n` is
     // bounded by the byte-budget check above (lint:checked-alloc).
     let mut columns: Vec<Vec<Cell>> = (0..arity).map(|_| Vec::with_capacity(n)).collect();
+    // The column's tag runs, reused across columns. Each run costs at
+    // least two wire bytes, so it grows only with the input.
+    let mut runs: Vec<(u8, usize)> = Vec::new();
+    let mut sym_count = 0usize;
     for (k, column) in columns.iter_mut().enumerate() {
-        // Tags. Same byte-budget bound on `n` (lint:checked-alloc).
-        let mut tags = Vec::with_capacity(n);
+        runs.clear();
         if n == 0 {
             let &marker = body.get(pos).ok_or(DslogError::Corrupt("truncated"))?;
             if marker != 0xff {
@@ -203,83 +217,81 @@ pub fn deserialize(data: &[u8]) -> Result<CompressedTable> {
             }
             pos += 1;
         }
-        while tags.len() < n {
+        let mut tagged = 0usize;
+        while tagged < n {
             let &tag = body.get(pos).ok_or(DslogError::Corrupt("truncated tags"))?;
             pos += 1;
             if tag > TAG_SYM {
                 return Err(DslogError::Corrupt("bad cell tag"));
             }
             let run = read_uvarint(body, &mut pos)? as usize;
-            if run == 0 || tags.len().checked_add(run).is_none_or(|t| t > n) {
+            if run == 0 || tagged.checked_add(run).is_none_or(|t| t > n) {
                 return Err(DslogError::Corrupt("tag run overflow"));
             }
-            tags.extend(std::iter::repeat_n(tag, run));
+            tagged += run;
+            runs.push((tag, run));
         }
-        // Payloads.
+        // Payloads, one tight loop per tag run.
         let mut prev_abs = 0i64;
         let mut prev_rel = 0i64;
-        for &tag in &tags {
-            let cell = match tag {
+        for &(tag, run) in &runs {
+            match tag {
                 TAG_ABS_POINT => {
-                    let lo = prev_abs
-                        .checked_add(read_ivarint(body, &mut pos)?)
-                        .ok_or(DslogError::Corrupt("delta overflow"))?;
-                    prev_abs = lo;
-                    Cell::Abs(Interval::point(lo))
+                    for _ in 0..run {
+                        let lo = prev_abs
+                            .checked_add(read_ivarint(body, &mut pos)?)
+                            .ok_or(DslogError::Corrupt("delta overflow"))?;
+                        prev_abs = lo;
+                        column.push(Cell::Abs(Interval::point(lo)));
+                    }
                 }
                 TAG_ABS_IVL => {
-                    let lo = prev_abs
-                        .checked_add(read_ivarint(body, &mut pos)?)
-                        .ok_or(DslogError::Corrupt("delta overflow"))?;
-                    prev_abs = lo;
-                    let width = read_uvarint(body, &mut pos)? as i64;
-                    if width < 0 || lo.checked_add(width).is_none() {
-                        return Err(DslogError::Corrupt("interval width overflow"));
-                    }
-                    Cell::Abs(Interval::new(lo, lo + width))
-                }
-                TAG_REL_POINT => {
-                    let anchor = read_uvarint(body, &mut pos)? as u8;
-                    if usize::from(anchor) >= prim_arity || k < prim_arity {
-                        return Err(DslogError::Corrupt("rel anchor out of range"));
-                    }
-                    let lo = prev_rel
-                        .checked_add(read_ivarint(body, &mut pos)?)
-                        .ok_or(DslogError::Corrupt("delta overflow"))?;
-                    prev_rel = lo;
-                    Cell::Rel {
-                        anchor,
-                        delta: Interval::point(lo),
+                    for _ in 0..run {
+                        let lo = prev_abs
+                            .checked_add(read_ivarint(body, &mut pos)?)
+                            .ok_or(DslogError::Corrupt("delta overflow"))?;
+                        prev_abs = lo;
+                        let width = read_uvarint(body, &mut pos)? as i64;
+                        if width < 0 || lo.checked_add(width).is_none() {
+                            return Err(DslogError::Corrupt("interval width overflow"));
+                        }
+                        column.push(Cell::Abs(Interval::new(lo, lo + width)));
                     }
                 }
-                TAG_REL_IVL => {
-                    let anchor = read_uvarint(body, &mut pos)? as u8;
-                    if usize::from(anchor) >= prim_arity || k < prim_arity {
-                        return Err(DslogError::Corrupt("rel anchor out of range"));
-                    }
-                    let lo = prev_rel
-                        .checked_add(read_ivarint(body, &mut pos)?)
-                        .ok_or(DslogError::Corrupt("delta overflow"))?;
-                    prev_rel = lo;
-                    let width = read_uvarint(body, &mut pos)? as i64;
-                    if width < 0 || lo.checked_add(width).is_none() {
-                        return Err(DslogError::Corrupt("interval width overflow"));
-                    }
-                    Cell::Rel {
-                        anchor,
-                        delta: Interval::new(lo, lo + width),
+                TAG_REL_POINT | TAG_REL_IVL => {
+                    for _ in 0..run {
+                        let anchor = read_uvarint(body, &mut pos)? as u8;
+                        if usize::from(anchor) >= prim_arity || k < prim_arity {
+                            return Err(DslogError::Corrupt("rel anchor out of range"));
+                        }
+                        let lo = prev_rel
+                            .checked_add(read_ivarint(body, &mut pos)?)
+                            .ok_or(DslogError::Corrupt("delta overflow"))?;
+                        prev_rel = lo;
+                        let delta = if tag == TAG_REL_POINT {
+                            Interval::point(lo)
+                        } else {
+                            let width = read_uvarint(body, &mut pos)? as i64;
+                            if width < 0 || lo.checked_add(width).is_none() {
+                                return Err(DslogError::Corrupt("interval width overflow"));
+                            }
+                            Interval::new(lo, lo + width)
+                        };
+                        column.push(Cell::Rel { anchor, delta });
                     }
                 }
-                TAG_SYM => {
-                    let attr = read_uvarint(body, &mut pos)? as u8;
-                    if usize::from(attr) >= arity {
-                        return Err(DslogError::Corrupt("sym attr out of range"));
+                // TAG_SYM: the tag byte was range-checked above.
+                _ => {
+                    sym_count += run;
+                    for _ in 0..run {
+                        let attr = read_uvarint(body, &mut pos)? as u8;
+                        if usize::from(attr) >= arity {
+                            return Err(DslogError::Corrupt("sym attr out of range"));
+                        }
+                        column.push(Cell::Sym { attr });
                     }
-                    Cell::Sym { attr }
                 }
-                _ => unreachable!(),
-            };
-            column.push(cell);
+            }
         }
     }
 
@@ -289,6 +301,7 @@ pub fn deserialize(data: &[u8]) -> Result<CompressedTable> {
         sec_arity,
         extents,
         columns,
+        sym_count,
     ))
 }
 

@@ -76,7 +76,7 @@ use super::wal::{self, IoPolicy};
 use super::{format, ArrayMeta, DiskTable, Edge, FileRecord, Slot, StorageManager, TableSource};
 use crate::error::{DslogError, Result};
 use crate::table::Orientation;
-use dslog_codecs::crc32::crc32;
+use dslog_codecs::crc32::{crc32, Crc32};
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -272,18 +272,31 @@ fn is_data_file(name: &str) -> bool {
     name.starts_with("edge-") || name.starts_with("segment-") || name.starts_with("manifest.")
 }
 
+/// Whether a sweep sparing `spared` would delete `name`: a data file
+/// `spared` does not name, or `*.tmp` debris.
+fn is_stale(name: &str, spared: &HashSet<String>) -> bool {
+    (is_data_file(name) && !spared.contains(name)) || name.ends_with(".tmp")
+}
+
+/// Names of the directory's entries (unreadable ones skipped).
+fn dir_file_names(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter_map(|entry| entry.file_name().into_string().ok())
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
 /// Delete every data file (`edge-*`, `segment-*`, `manifest.*`) that
 /// `spared` does not name, plus any `*.tmp` debris. Deletion failures are
 /// ignored (opening a read-only snapshot must stay possible).
 pub(crate) fn sweep_stale_files(dir: &Path, spared: &HashSet<String>) {
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let stale = (is_data_file(name) && !spared.contains(name)) || name.ends_with(".tmp");
-            if stale {
-                let _ = std::fs::remove_file(entry.path());
-            }
+    for name in dir_file_names(dir) {
+        if is_stale(&name, spared) {
+            let _ = std::fs::remove_file(dir.join(name));
         }
     }
 }
@@ -847,8 +860,21 @@ pub(crate) fn read_verified_bytes(
     check: Option<(u64, u32, u64)>,
     offset: Option<u64>,
 ) -> Result<Vec<u8>> {
-    let bytes = match offset {
-        None => std::fs::read(path).map_err(|e| DslogError::io("read edge table", e))?,
+    let bytes = read_table_bytes(path, check, offset)?;
+    if let Some(record) = check {
+        check_record(&bytes, gzip, record, crc32(&bytes))?;
+    }
+    Ok(bytes)
+}
+
+/// The raw bytes of one table file or segment range, unverified.
+fn read_table_bytes(
+    path: &Path,
+    check: Option<(u64, u32, u64)>,
+    offset: Option<u64>,
+) -> Result<Vec<u8>> {
+    match offset {
+        None => std::fs::read(path).map_err(|e| DslogError::io("read edge table", e)),
         Some(off) => {
             // A range read without its catalog record would have no length
             // to read — v3 catalogs always record one.
@@ -863,32 +889,46 @@ pub(crate) fn read_verified_bytes(
             f.seek(std::io::SeekFrom::Start(off))
                 .map_err(|e| DslogError::io("seek segment file", e))?;
             // Bounded by the catalog-recorded range length, which the crc
-            // check below vouches for. lint:checked-alloc — len comes from
+            // check vouches for. lint:checked-alloc — len comes from
             // the crc-trailed catalog, and read_exact fails on truncation.
             let mut buf = vec![0u8; len as usize];
             f.read_exact(&mut buf)
                 .map_err(|e| DslogError::io("read segment range", e))?;
-            buf
-        }
-    };
-    if let Some((len, crc, raw_len)) = check {
-        if bytes.len() as u64 != len {
-            return Err(DslogError::Corrupt("edge file length mismatch"));
-        }
-        if crc32(&bytes) != crc {
-            return Err(DslogError::Corrupt("edge file checksum mismatch"));
-        }
-        if gzip && dslog_codecs::gzip::declared_len(&bytes)? != raw_len {
-            return Err(DslogError::Corrupt("edge file declared size mismatch"));
+            Ok(buf)
         }
     }
-    Ok(bytes)
+}
+
+/// Check table bytes whose crc32 is `file_crc` against their catalog
+/// record `(len, crc, raw_len)`.
+fn check_record(
+    bytes: &[u8],
+    gzip: bool,
+    (len, crc, raw_len): (u64, u32, u64),
+    file_crc: u32,
+) -> Result<()> {
+    if bytes.len() as u64 != len {
+        return Err(DslogError::Corrupt("edge file length mismatch"));
+    }
+    if file_crc != crc {
+        return Err(DslogError::Corrupt("edge file checksum mismatch"));
+    }
+    if gzip && dslog_codecs::gzip::declared_len(bytes)? != raw_len {
+        return Err(DslogError::Corrupt("edge file declared size mismatch"));
+    }
+    Ok(())
 }
 
 /// Read + fully validate one table file (length/crc when recorded, then
 /// structural decode, then orientation agreement with the catalog). Both
 /// eager open and the lazy `DiskTable::load` path go through here, so
 /// verification can never diverge between the two.
+///
+/// A plain file is hashed once: the crc32 of everything but the last four
+/// bytes is the v2 trailer check's, and feeding those four bytes into the
+/// same hasher gives the whole-file crc the catalog records. The catalog
+/// check still runs first. Gzip files hash the compressed bytes (catalog)
+/// and the decompressed body (trailer) separately, as those differ.
 pub(crate) fn load_table_file(
     path: &Path,
     gzip: bool,
@@ -896,11 +936,25 @@ pub(crate) fn load_table_file(
     check: Option<(u64, u32, u64)>,
     offset: Option<u64>,
 ) -> Result<crate::table::CompressedTable> {
-    let bytes = read_verified_bytes(path, gzip, check, offset)?;
-    let table = if gzip {
-        format::deserialize_gzip(&bytes)?
-    } else {
-        format::deserialize(&bytes)?
+    let table = match check {
+        Some(record) if !gzip => {
+            let bytes = read_table_bytes(path, check, offset)?;
+            let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(4));
+            let mut hasher = Crc32::new();
+            hasher.update(body);
+            let body_crc = hasher.finalize();
+            hasher.update(trailer);
+            check_record(&bytes, gzip, record, hasher.finalize())?;
+            format::deserialize_with_body_crc(&bytes, Some(body_crc))?
+        }
+        _ => {
+            let bytes = read_verified_bytes(path, gzip, check, offset)?;
+            if gzip {
+                format::deserialize_gzip(&bytes)?
+            } else {
+                format::deserialize(&bytes)?
+            }
+        }
     };
     if table.orientation() != orientation {
         return Err(DslogError::Corrupt("edge file orientation mismatch"));
@@ -1135,8 +1189,18 @@ fn open_impl(dir: &Path, lazy: bool) -> Result<StorageManager> {
     // rule is the shared [`spared_set`]: files any surviving log commit
     // record still names may belong to a retained generation `open_as_of`
     // can resolve, so an open spares them all and the next commit applies
-    // the retention policy and trims them.
-    sweep_stale_files(dir, &spared_set(&referenced, &recovery.records, None));
+    // the retention policy and trims them. That set always contains the
+    // live catalog's files and their segments' manifests (`spared_set`
+    // over no records); when nothing on disk falls outside those, the
+    // sweep could delete nothing, and parsing every catalog embedded in
+    // the log is skipped.
+    let minimum = spared_set(&referenced, &[], None);
+    if dir_file_names(dir)
+        .iter()
+        .any(|name| is_stale(name, &minimum))
+    {
+        sweep_stale_files(dir, &spared_set(&referenced, &recovery.records, None));
+    }
 
     // Bind the manager to this directory so the next commit into it is
     // incremental (v1 catalogs bind at generation 0; every slot above
@@ -1967,6 +2031,158 @@ mod tests {
             // The lazily opened manager still loads its (referenced,
             // unswept) tables fine after the sweep.
             opened.resolve_hop("B", "A").unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Names of every file in `dir`, sorted.
+    fn dir_listing(dir: &Path) -> Vec<String> {
+        let mut names = dir_file_names(dir);
+        names.sort();
+        names
+    }
+
+    /// Files the live catalog references.
+    fn live_files(dir: &Path) -> Vec<String> {
+        let catalog = parse_catalog(&std::fs::read(dir.join(CATALOG_FILE)).unwrap()).unwrap();
+        let mut names: Vec<String> = catalog
+            .edges
+            .iter()
+            .flat_map(|e| e.files.iter().map(|f| f.name.clone()))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The referenced plain edge file holding the `B → C` table (the only
+    /// edge of [`sample_manager`] with one secondary attribute).
+    fn b_to_c_file(dir: &Path) -> std::path::PathBuf {
+        referenced_edge_files(dir)
+            .into_iter()
+            .map(|name| dir.join(name))
+            .find(|path| {
+                let table = format::deserialize(&std::fs::read(path).unwrap()).unwrap();
+                table.secondary_arity() == 1
+            })
+            .unwrap()
+    }
+
+    /// The damaged `B → C` file must be refused by an eager open, by the
+    /// first lazy touch, and by `verify`, each at the catalog's check.
+    fn assert_rejected_everywhere(dir: &Path) {
+        let catalog_check = DslogError::Corrupt("edge file checksum mismatch");
+        assert_eq!(open(dir).err(), Some(catalog_check.clone()));
+        let lazy = open_lazy(dir).unwrap();
+        assert_eq!(
+            lazy.resolve_hop("C", "B").err(),
+            Some(catalog_check.clone())
+        );
+        assert_eq!(verify(dir).err(), Some(catalog_check));
+    }
+
+    #[test]
+    fn single_pass_check_rejects_flipped_body_byte() {
+        let dir = temp_dir("onepass-flip");
+        save(&sample_manager(), &dir, false).unwrap();
+        let path = b_to_c_file(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[6] ^= 0x01; // a header byte, before the 4-byte trailer
+        std::fs::write(&path, &bytes).unwrap();
+        assert_rejected_everywhere(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn single_pass_check_keeps_the_catalog_check() {
+        // Appending a message's own CRC-32 makes the whole CRC the constant
+        // residue 0x2144DF1C, so every valid plain v2 file has the same
+        // whole-file crc, and swapping in another valid table of the same
+        // length passes both checks. What the catalog check still catches
+        // is a valid file its record disagrees with.
+        let dir = temp_dir("onepass-record");
+        save(&sample_manager(), &dir, false).unwrap();
+        let file = b_to_c_file(&dir);
+        assert_eq!(crc32(&std::fs::read(&file).unwrap()), 0x2144_DF1C);
+        let name = file.file_name().unwrap().to_str().unwrap().to_string();
+        let path = dir.join(CATALOG_FILE);
+        let catalog = std::fs::read(&path).unwrap();
+        // The record is `name | len varint | crc u32 LE | ...`.
+        let mut pos = catalog
+            .windows(name.len())
+            .position(|w| w == name.as_bytes())
+            .unwrap()
+            + name.len();
+        read_uvarint(&catalog, &mut pos).unwrap();
+        let mut body = catalog[..catalog.len() - 4].to_vec();
+        body[pos] ^= 0x01;
+        body.extend_from_slice(&crc32(&body).to_le_bytes());
+        std::fs::write(&path, &body).unwrap();
+        assert!(parse_catalog(&body).is_ok());
+        assert_rejected_everywhere(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_spares_retained_generation_files() {
+        for lazy in [false, true] {
+            let dir = temp_dir(if lazy { "retain-lazy" } else { "retain" });
+            let mut s = sample_manager();
+            s.set_wal_retention(2);
+            let first = commit(&s, &dir, false).unwrap();
+            let gen1_files = live_files(&dir);
+            let gen1_table = s.stored_table("B", "C", Orientation::Backward).unwrap();
+
+            // Rewrite the `B → C` slot: its gen-1 file is now referenced
+            // only by the retained log record.
+            let mut rev = LineageTable::new(1, 1);
+            for i in 0..3 {
+                rev.push_row(&[i, 2 - i]);
+            }
+            s.ingest_lineage("B", "C", &rev).unwrap();
+            commit(&s, &dir, false).unwrap();
+            let live = live_files(&dir);
+            let retained: Vec<&String> = gen1_files.iter().filter(|n| !live.contains(n)).collect();
+            assert_eq!(retained.len(), 1);
+
+            // Without debris, an open changes nothing on disk.
+            let before = dir_listing(&dir);
+            drop(open(&dir).unwrap());
+            assert_eq!(dir_listing(&dir), before);
+
+            // Debris forces the sweep; it must still spare retained history.
+            std::fs::write(dir.join("edge-0-b.g9.tbl.tmp"), b"tmp junk").unwrap();
+            let opened = if lazy {
+                open_lazy(&dir).unwrap()
+            } else {
+                open(&dir).unwrap()
+            };
+            assert!(!dir.join("edge-0-b.g9.tbl.tmp").exists());
+            assert!(dir.join(retained[0]).exists());
+            assert_eq!(dir_listing(&dir), before);
+            opened.resolve_hop("C", "B").unwrap();
+
+            let past = open_as_of(&dir, first.generation).unwrap();
+            assert_eq!(
+                *past.stored_table("B", "C", Orientation::Backward).unwrap(),
+                *gen1_table
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn open_leaves_fully_referenced_directory_untouched() {
+        for gzip in [false, true] {
+            let dir = temp_dir(if gzip { "untouched-gz" } else { "untouched" });
+            let mut s = sample_manager();
+            commit(&s, &dir, gzip).unwrap();
+            add_small_edge(&mut s, 0);
+            commit(&s, &dir, gzip).unwrap();
+            let before = dir_listing(&dir);
+            drop(open(&dir).unwrap());
+            drop(open_lazy(&dir).unwrap());
+            assert_eq!(dir_listing(&dir), before);
+            assert!(verify(&dir).unwrap().stale_files.is_empty());
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

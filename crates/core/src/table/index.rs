@@ -37,12 +37,33 @@ pub struct ColumnIndex {
 impl ColumnIndex {
     /// Build from one primary column. Returns `None` when any cell is not an
     /// absolute interval (generalized tables cannot be indexed).
+    ///
+    /// Rows are ordered by `(lo, hi, row)`. When the `lo` values span at
+    /// most twice the row count — the dense layout ProvRC's incompressible
+    /// edges produce — a counting sort on `lo` does it in linear time;
+    /// otherwise a comparison sort does. Both give the same index.
     fn build(column: &[Cell]) -> Option<ColumnIndex> {
-        let mut keyed: Vec<(i64, i64, u32)> = Vec::with_capacity(column.len());
-        for (row, cell) in column.iter().enumerate() {
+        let mut min = i64::MAX;
+        let mut max = i64::MIN;
+        for cell in column {
             let Cell::Abs(ivl) = cell else { return None };
-            keyed.push((ivl.lo, ivl.hi, row as u32));
+            min = min.min(ivl.lo);
+            max = max.max(ivl.lo);
         }
+        let span = i128::from(max) - i128::from(min) + 1;
+        Some(if !column.is_empty() && span <= 2 * column.len() as i128 {
+            Self::build_by_counting(column, min, span as usize)
+        } else {
+            Self::build_by_sort(column)
+        })
+    }
+
+    /// Comparison sort over `(lo, hi, row)` keys. `column` is all `Abs`.
+    fn build_by_sort(column: &[Cell]) -> ColumnIndex {
+        let mut keyed: Vec<(i64, i64, u32)> = abs_intervals(column)
+            .enumerate()
+            .map(|(row, ivl)| (ivl.lo, ivl.hi, row as u32))
+            .collect();
         keyed.sort_unstable();
         let mut order = Vec::with_capacity(keyed.len());
         let mut los = Vec::with_capacity(keyed.len());
@@ -54,11 +75,71 @@ impl ColumnIndex {
             los.push(lo);
             max_hi_fence.push(running);
         }
-        Some(ColumnIndex {
+        ColumnIndex {
             order,
             los,
             max_hi_fence,
-        })
+        }
+    }
+
+    /// Counting sort on `lo - min` over `span` buckets. `column` is all
+    /// `Abs` and non-empty, with every `lo` in `min..min + span`.
+    fn build_by_counting(column: &[Cell], min: i64, span: usize) -> ColumnIndex {
+        let n = column.len();
+        // `ends[b]` starts as bucket `b`'s first position and, after the
+        // scatter, is one past its last.
+        let mut ends = vec![0u32; span];
+        for ivl in abs_intervals(column) {
+            ends[(ivl.lo - min) as usize] += 1;
+        }
+        let mut next = 0u32;
+        for slot in ends.iter_mut() {
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        // Scattering rows in row order keeps each bucket in row order.
+        let mut order = vec![0u32; n];
+        let mut his = vec![0i64; n];
+        for (row, ivl) in abs_intervals(column).enumerate() {
+            let at = &mut ends[(ivl.lo - min) as usize];
+            order[*at as usize] = row as u32;
+            his[*at as usize] = ivl.hi;
+            *at += 1;
+        }
+        let mut los = Vec::with_capacity(n);
+        let mut start = 0usize;
+        for (b, &end) in ends.iter().enumerate() {
+            let end = end as usize;
+            los.resize(end, min + b as i64);
+            // Rows sharing a `lo` are ordered by `(hi, row)`; they are
+            // already in row order, so only a bucket whose `hi`s descend
+            // somewhere needs sorting.
+            if end - start > 1 && his[start..end].windows(2).any(|w| w[0] > w[1]) {
+                let mut tied: Vec<(i64, u32)> = his[start..end]
+                    .iter()
+                    .copied()
+                    .zip(order[start..end].iter().copied())
+                    .collect();
+                tied.sort_unstable();
+                for (i, (hi, row)) in tied.into_iter().enumerate() {
+                    his[start + i] = hi;
+                    order[start + i] = row;
+                }
+            }
+            start = end;
+        }
+        // The fence is the running maximum of `hi`, computed in place.
+        let mut running = i64::MIN;
+        for hi in his.iter_mut() {
+            running = running.max(*hi);
+            *hi = running;
+        }
+        ColumnIndex {
+            order,
+            los,
+            max_hi_fence: his,
+        }
     }
 
     /// Half-open window `[start, end)` of sorted positions that can
@@ -75,6 +156,14 @@ impl ColumnIndex {
     pub fn rows_in(&self, window: (usize, usize)) -> &[u32] {
         &self.order[window.0..window.1]
     }
+}
+
+/// The intervals of a column already known to hold only `Abs` cells.
+fn abs_intervals(column: &[Cell]) -> impl Iterator<Item = Interval> + '_ {
+    column.iter().filter_map(|cell| match cell {
+        Cell::Abs(ivl) => Some(*ivl),
+        _ => None,
+    })
 }
 
 /// Per-primary-attribute sorted interval indexes for one compressed table.
@@ -234,6 +323,71 @@ mod tests {
         assert_eq!(d, 1_000_000); // every probe scans every row
         let empty = TableIndex::build(&table_with_primaries(&[])).unwrap();
         assert_eq!(empty.estimate_point_selectivity_ppm(&[100]), 0);
+    }
+
+    /// Deterministic pseudo-random stream (xorshift64*).
+    struct Noise(u64);
+
+    impl Noise {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound
+        }
+    }
+
+    /// Both builds agree, and `build` picks `dense`'s path.
+    fn assert_builds_agree(cells: &[Cell], dense: bool) {
+        let sorted = ColumnIndex::build_by_sort(cells);
+        let built = ColumnIndex::build(cells).unwrap();
+        assert_eq!(built, sorted);
+        if let (true, Some(min)) = (dense, abs_intervals(cells).map(|i| i.lo).min()) {
+            let max = abs_intervals(cells).map(|i| i.lo).max().unwrap();
+            let span = (max - min + 1) as usize;
+            assert!(span <= 2 * cells.len(), "case must take the counting path");
+            assert_eq!(ColumnIndex::build_by_counting(cells, min, span), sorted);
+        }
+    }
+
+    #[test]
+    fn counting_build_equals_comparison_build() {
+        let mut rng = Noise(0x5eed_1dce);
+        for &n in &[1usize, 2, 3, 17, 256, 5000] {
+            // A permutation of 0..n.
+            let mut perm: Vec<i64> = (0..n as i64).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let cells: Vec<Cell> = perm.iter().map(|&v| Cell::point(v)).collect();
+            assert_builds_agree(&cells, true);
+
+            // Duplicate `lo` points, shifted negative.
+            let cells: Vec<Cell> = (0..n)
+                .map(|_| Cell::point(rng.below(n as u64 / 2 + 1) as i64 - n as i64))
+                .collect();
+            assert_builds_agree(&cells, true);
+
+            // Non-point intervals tying on `lo` with shuffled `hi`s.
+            let cells: Vec<Cell> = (0..n)
+                .map(|_| {
+                    let lo = rng.below(n as u64 / 4 + 1) as i64 - 3;
+                    Cell::abs(lo, lo + rng.below(50) as i64)
+                })
+                .collect();
+            assert_builds_agree(&cells, true);
+
+            // A sparse `lo` range: takes the comparison-sort fallback.
+            let cells: Vec<Cell> = (0..n)
+                .map(|_| Cell::point(rng.below(1 << 40) as i64 - (1 << 39)))
+                .collect();
+            assert_builds_agree(&cells, false);
+        }
+        // Extreme `lo`s whose span overflows i64 arithmetic.
+        assert_builds_agree(&[Cell::point(i64::MAX - 1), Cell::point(i64::MIN)], false);
+        // Empty and single-row columns.
+        assert_builds_agree(&[], false);
+        assert_builds_agree(&[Cell::abs(-5, 9)], true);
     }
 
     #[test]

@@ -148,7 +148,9 @@ pub fn ingest(args: &[String]) -> Result<String, String> {
     // propagate, not be shadowed by a new empty database whose save would
     // sweep the old snapshot's edge files.
     let mut db = if database_exists(db_dir) {
-        Dslog::open(db_dir).map_err(|e| format!("open {db_dir}: {e}"))?
+        Dslog::options()
+            .open(db_dir)
+            .map_err(|e| format!("open {db_dir}: {e}"))?
     } else {
         Dslog::new()
     };

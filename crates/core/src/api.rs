@@ -77,18 +77,15 @@ pub struct QueryResult {
 /// Consolidated construction + configuration builder for [`Dslog`]
 /// (start with [`Dslog::options`]).
 ///
-/// This is the one front door for every open-time decision that used to
-/// be spread across the `open`/`open_lazy`/`open_as_of` constructor trio
-/// and a pile of post-construction `set_*` calls. Settings accumulate on
-/// the builder; the terminal methods ([`open`](Self::open),
-/// [`create`](Self::create), [`build`](Self::build)) validate the
-/// combination **before** any file IO and reject contradictions with
-/// [`DslogError::InvalidOptions`].
+/// This is the one front door for every open-time decision. Settings
+/// accumulate on the builder; the terminal methods
+/// ([`open`](Self::open), [`create`](Self::create),
+/// [`build`](Self::build)) validate the combination **before** any file
+/// IO and reject contradictions with [`DslogError::InvalidOptions`].
 ///
 /// ```no_run
 /// use dslog::api::Dslog;
 ///
-/// // Before: Dslog::open_lazy(dir)? + db.set_wal_retention(8) + ...
 /// let db = Dslog::options()
 ///     .lazy(true)
 ///     .wal_retention(8)
@@ -110,21 +107,20 @@ pub struct OpenOptions {
 }
 
 impl OpenOptions {
-    /// Defer table decode + checksum to first use (see the former
-    /// `open_lazy`): the open costs O(catalog), ideal when a large
-    /// database serves queries that touch few edges. Conflicts with
-    /// [`as_of`](Self::as_of) — time-travel snapshots are rebuilt from
-    /// the operation log and always decode eagerly.
+    /// Defer table decode + checksum to first use: the open costs
+    /// O(catalog), ideal when a large database serves queries that touch
+    /// few edges. Conflicts with [`as_of`](Self::as_of) — time-travel
+    /// snapshots are rebuilt from the operation log and always decode
+    /// eagerly.
     pub fn lazy(mut self, lazy: bool) -> Self {
         self.lazy = lazy;
         self
     }
 
-    /// Open the database as it was at `generation` — time travel (see the
-    /// former `open_as_of`). The snapshot is unbound and read-only with
-    /// respect to the source directory; it conflicts with
-    /// [`lazy`](Self::lazy) and with a background
-    /// [`maintenance`](Self::maintenance) policy.
+    /// Open the database as it was at `generation` — time travel. The
+    /// snapshot is unbound and read-only with respect to the source
+    /// directory; it conflicts with [`lazy`](Self::lazy) and with a
+    /// background [`maintenance`](Self::maintenance) policy.
     pub fn as_of(mut self, generation: u64) -> Self {
         self.as_of = Some(generation);
         self
@@ -540,12 +536,11 @@ impl Dslog {
     /// point. Appending one edge to a 100k-row database costs O(new
     /// edge), not O(database).
     ///
-    /// The binding is established by [`save`](Self::save),
-    /// [`open`](Self::open), or [`open_lazy`](Self::open_lazy); calling
-    /// `commit` on a never-persisted database returns
-    /// [`DslogError::NotBound`]. Callers running commits concurrently
-    /// with saves on the same handle should serialize them (the
-    /// [`crate::service`] layer does).
+    /// The binding is established by [`save`](Self::save) or by
+    /// [`OpenOptions::open`]; calling `commit` on a never-persisted
+    /// database returns [`DslogError::NotBound`]. Callers running commits
+    /// concurrently with saves on the same handle should serialize them
+    /// (the [`crate::service`] layer does).
     pub fn commit(&self) -> Result<crate::storage::persist::CommitReport> {
         let (dir, gzip, _) = self.storage.persist_binding().ok_or(DslogError::NotBound)?;
         crate::storage::persist::commit(&self.storage, &dir, gzip)
@@ -556,46 +551,6 @@ impl Dslog {
     /// `None` until the first [`save`](Self::save)/open.
     pub fn bound_database(&self) -> Option<(std::path::PathBuf, bool, u64)> {
         self.storage.persist_binding()
-    }
-
-    /// Open a database directory previously written by [`save`](Self::save),
-    /// eagerly decoding (and checksum-verifying) every table file.
-    ///
-    /// Thin wrapper kept for existing callers — prefer
-    /// [`Dslog::options()`](Self::options)`.open(dir)`, which takes the
-    /// same path and accepts the rest of the configuration too.
-    #[doc(hidden)]
-    pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Self> {
-        Self::options().open(dir)
-    }
-
-    /// Open a database directory in O(catalog) time: table files are only
-    /// stat'd now and read, verified against the catalog's recorded
-    /// length + crc32, and decoded on the first query hop that needs them.
-    /// (Legacy v1 directories carry no checksums and fall back to an eager
-    /// open.)
-    ///
-    /// Thin wrapper kept for existing callers — prefer
-    /// [`Dslog::options()`](Self::options)`.lazy(true).open(dir)`.
-    #[doc(hidden)]
-    pub fn open_lazy(dir: impl AsRef<std::path::Path>) -> Result<Self> {
-        Self::options().lazy(true).open(dir)
-    }
-
-    /// Open the database as it was at `generation` — time travel. The
-    /// operation log's commit record for that generation embeds the exact
-    /// catalog that was live, and the retention policy (see
-    /// [`set_wal_retention`](Self::set_wal_retention)) decides how long
-    /// its edge files stay on disk. The snapshot is unbound: committing
-    /// it is a full save into a fresh target, never a rewrite of history.
-    /// Returns [`DslogError::GenerationNotRetained`] for generations the
-    /// log does not record or whose files were already swept.
-    ///
-    /// Thin wrapper kept for existing callers — prefer
-    /// [`Dslog::options()`](Self::options)`.as_of(generation).open(dir)`.
-    #[doc(hidden)]
-    pub fn open_as_of(dir: impl AsRef<std::path::Path>, generation: u64) -> Result<Self> {
-        Self::options().as_of(generation).open(dir)
     }
 
     /// Every cleanly framed record of the bound database's operation log,
@@ -614,8 +569,8 @@ impl Dslog {
     }
 
     /// Keep the edge files of up to `generations` prior commits on disk
-    /// so [`open_as_of`](Self::open_as_of) can resolve them. Defaults to
-    /// 0 (identical sweep behavior to pre-log releases); the
+    /// so [`OpenOptions::as_of`] can resolve them. Defaults to 0
+    /// (identical sweep behavior to pre-log releases); the
     /// `DSLOG_WAL_RETAIN` environment variable supplies a process-wide
     /// default.
     pub fn set_wal_retention(&self, generations: u32) {

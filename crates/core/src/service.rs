@@ -806,11 +806,11 @@ mod tests {
         assert_eq!(r.hops, 3);
         assert!(!r.cells.is_empty());
         // Nothing committed yet: reopening shows only the seeded edge.
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 1);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 1);
         let report = service.commit().unwrap();
         assert!(report.incremental);
         assert_eq!(report.files_written, 2);
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 3);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -877,7 +877,7 @@ mod tests {
         let commit = r2.auto_commit.expect("threshold reached").unwrap();
         assert!(commit.incremental);
         assert_eq!(r2.pending_edges, 0);
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 3);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 3);
         let stats = service.stats();
         assert_eq!(stats.auto_commits, 1);
         assert_eq!(stats.commits, 1);
@@ -926,7 +926,7 @@ mod tests {
         assert_eq!(r.hops, 3);
         let (_db, commit) = service.shutdown().expect("no refs remain");
         commit.unwrap();
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 3);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -943,7 +943,10 @@ mod tests {
         // second manager on a live directory — unsupported outside tests),
         // so a transient Err just means "poll again".
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !Dslog::open(&dir).is_ok_and(|db| db.storage().n_edges() == 2) {
+        while !Dslog::options()
+            .open(&dir)
+            .is_ok_and(|db| db.storage().n_edges() == 2)
+        {
             assert!(
                 std::time::Instant::now() < deadline,
                 "ticker never committed"
@@ -967,7 +970,7 @@ mod tests {
         commit.unwrap();
         assert_eq!(db.storage().n_edges(), 2);
         // The final commit made it to disk.
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 2);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1028,7 +1031,7 @@ mod tests {
         assert_eq!(db.storage().n_edges(), 1);
         let dir = temp_dir("unbound-rescue");
         db.save(&dir, false).unwrap();
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 1);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1164,7 +1167,7 @@ mod tests {
         assert_eq!(stats.pending_edges, 0);
         assert!(stats.last_commit_error.is_none());
         service.with_db(|db| db.set_io_policy(None));
-        assert_eq!(Dslog::open(&dir).unwrap().storage().n_edges(), 2);
+        assert_eq!(Dslog::options().open(&dir).unwrap().storage().n_edges(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,12 +13,13 @@
 //!
 //! ## Durability
 //!
-//! Compaction mirrors [`super::persist::commit`]'s ordering exactly:
-//! segments and manifest are written atomically (temp + fdatasync +
-//! rename) and made durable with a directory sync *before* the operation
-//! log records the pass, the log is fdatasynced *before* the catalog
-//! rename, and the catalog rename remains the single commit point. A
-//! crash at any earlier step leaves the previous snapshot fully intact;
+//! Compaction writes its segments and manifest atomically (temp +
+//! fdatasync + rename) and then goes through the same commit point as
+//! [`super::persist::commit`] (`persist::PendingCommit::finish`): a
+//! directory sync *before* the operation log records the pass, the log
+//! fdatasynced *before* the catalog rename, and the catalog rename as the
+//! single commit point. A crash at any earlier step leaves the previous
+//! snapshot fully intact;
 //! a crash after the rename but before the sweep leaves only spared-or-
 //! stale debris that the next open/commit sweeps with the same shared
 //! sparing rule (`persist::spared_set`) — never a file the live
@@ -36,9 +37,8 @@
 //! of tables no query touched.
 
 use super::persist::{
-    self, build_catalog_bytes, edge_shard, generations, manifest_file_name, parse_catalog,
-    segment_file_name, spared_set, sweep_stale_files, sync_dir, write_atomic, Catalog,
-    CATALOG_FILE,
+    self, edge_shard, manifest_file_name, parse_catalog, segment_file_name, write_atomic, Catalog,
+    PendingCommit, CATALOG_FILE,
 };
 use super::wal;
 use super::{FileRecord, StorageManager, TableSource};
@@ -283,17 +283,24 @@ pub(crate) fn verify_manifest(dir: &Path, gen: u64, catalog: &Catalog) -> Result
         .collect();
     for entry in &catalog.edges {
         for fref in &entry.files {
-            let (Some(offset), Some((len, crc, raw_len))) = (fref.offset, fref.check) else {
+            let FileRecord {
+                name,
+                len,
+                crc,
+                raw_len,
+                offset: Some(offset),
+            } = &fref.record
+            else {
                 continue;
             };
-            if persist::parse_generation(&fref.name) != Some(gen) {
+            if persist::parse_generation(name) != Some(gen) {
                 continue;
             }
             let o = match fref.orientation {
                 Orientation::Backward => "b",
                 Orientation::Forward => "f",
             };
-            if !ranges.contains(&(fref.name.as_str(), o, offset, len, crc, raw_len)) {
+            if !ranges.contains(&(name.as_str(), o, *offset, *len, *crc, *raw_len)) {
                 return Err(DslogError::Corrupt(
                     "catalog segment range not recorded by the manifest",
                 ));
@@ -318,36 +325,19 @@ pub(crate) fn verify_manifest(dir: &Path, gen: u64, catalog: &Catalog) -> Result
 /// suite), and `open_as_of` keeps resolving every generation the
 /// retention window spares.
 pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<CompactReport> {
-    let dir = dir
-        .canonicalize()
-        .map_err(|e| DslogError::io("canonicalize database dir", e))?;
-    // Same lock and rank as `commit`: compaction is a commit, and two
-    // interleaved writers would race the generation counter and sweeps.
-    let _commit_guard = storage.commit_lock.lock();
-    let bound = storage.binding.lock().clone();
-    if !matches!(&bound, Some(b) if b.dir == dir && b.gzip == gzip) {
+    // Compaction is a commit: same lock, generations and log snapshot.
+    let pending = PendingCommit::begin(storage, dir)?;
+    if !matches!(&pending.bound, Some(b) if b.dir == pending.dir && b.gzip == gzip) {
         return Err(DslogError::NotBound);
     }
-    let (prior_gen, gen) = generations(&dir);
-
-    let (arc_policy, pending_ops, actor, retain) = {
-        let w = storage.wal.lock();
-        (
-            w.io_policy.clone(),
-            w.pending.clone(),
-            w.actor.clone(),
-            w.effective_retain(),
-        )
-    };
-    let policy = arc_policy.as_deref();
-    let n_pending = pending_ops.len();
+    let (dir, gen, policy) = (&pending.dir, pending.gen, pending.policy());
 
     // What the previous catalog referenced = what this pass folds.
     let files_folded = match std::fs::read(dir.join(CATALOG_FILE)) {
         Ok(bytes) => parse_catalog(&bytes).map(|c| {
             c.edges
                 .iter()
-                .flat_map(|e| e.files.iter().map(|f| f.name.clone()))
+                .flat_map(|e| e.files.iter().map(|f| f.record.name.clone()))
                 .collect::<HashSet<_>>()
                 .len()
         })?,
@@ -361,7 +351,7 @@ pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Compa
     let mut keys: Vec<&(String, String)> = storage.edges.keys().collect();
     keys.sort();
     let n_slots_max = keys.len() * 2;
-    let shards = (n_slots_max / 16 + 1).min(MAX_SEGMENTS).max(1);
+    let shards = (n_slots_max / 16 + 1).clamp(1, MAX_SEGMENTS);
     let mut segment_bufs: Vec<Vec<u8>> = (0..shards).map(|_| Vec::new()).collect();
     let mut entries: Vec<ManifestEntry> = Vec::new();
     let mut planned: Vec<(&(String, String), u8, Vec<FileRecord>)> = Vec::with_capacity(keys.len());
@@ -459,77 +449,15 @@ pub fn compact(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Compa
     io_steps += 1;
     crash_injection_point(io_steps);
 
-    let catalog = build_catalog_bytes(storage, gzip, gen, &planned)?;
-
-    // Make the segment + manifest renames durable BEFORE the log and
-    // catalog can commit — same ordering as `commit`.
-    sync_dir(&dir, policy)?;
-
-    let recovery = wal::recover(&dir, prior_gen);
-    let mut op_id = recovery.last_op_id;
-    let mut new_records: Vec<wal::OpRecord> = Vec::with_capacity(n_pending + 2);
-    for p in &pending_ops {
-        op_id += 1;
-        new_records.push(wal::OpRecord {
-            op_id,
-            timestamp_ms: p.timestamp_ms,
-            actor: p.actor.clone(),
-            gen_before: prior_gen,
-            gen_after: prior_gen,
-            kind: p.kind.clone(),
-        });
-    }
-    op_id += 1;
-    new_records.push(wal::OpRecord {
-        op_id,
-        timestamp_ms: wal::now_ms(),
-        actor: actor.clone(),
-        gen_before: prior_gen,
-        gen_after: prior_gen,
-        kind: wal::OpKind::Compact {
-            segments: segments_written as u64,
-            folded: files_folded as u64,
-            bytes: bytes_written,
-        },
-    });
-    op_id += 1;
-    new_records.push(wal::OpRecord {
-        op_id,
-        timestamp_ms: wal::now_ms(),
-        actor,
-        gen_before: prior_gen,
-        gen_after: gen,
-        kind: wal::OpKind::Commit {
-            catalog: catalog.clone(),
-        },
-    });
-    wal::append(&dir, recovery.clean_len, &new_records, policy)?;
-
-    // Commit point: the catalog rename, exactly as in `commit`.
-    write_atomic(&dir.join(CATALOG_FILE), &catalog, "write catalog", policy)?;
-    io_steps += 1;
-    crash_injection_point(io_steps);
-
-    sync_dir(&dir, policy)?;
-
-    // Sweep superseded generations with the shared sparing rule: the new
-    // segments/manifest, plus everything the retained WAL window (the
-    // last `retain` commit records) still names for `open_as_of`.
-    let referenced: HashSet<String> = segments.iter().map(|(name, _)| name.clone()).collect();
-    sweep_stale_files(
-        &dir,
-        &spared_set(&referenced, &recovery.records, Some(retain as usize)),
-    );
-
-    for (key, orientation, record) in newly_clean {
-        storage.edges[key].publish_committed(orientation, record, &dir, gzip);
-    }
-    *storage.binding.lock() = Some(super::PersistBinding {
-        dir,
-        gzip,
-        generation: gen,
-    });
-    storage.wal.lock().pending.drain(..n_pending);
+    let marker = wal::OpKind::Compact {
+        segments: segments_written as u64,
+        folded: files_folded as u64,
+        bytes: bytes_written,
+    };
+    // The catalog rename is the pass's last kill point.
+    pending.finish(gzip, &planned, newly_clean, Some(marker), || {
+        crash_injection_point(io_steps + 1)
+    })?;
 
     Ok(CompactReport {
         generation: gen,
@@ -692,7 +620,7 @@ mod tests {
             add_edge(&mut s, tag);
             persist::commit(&s, &dir, false).unwrap();
         }
-        let (committed, _) = generations(&dir);
+        let (committed, _) = persist::generations(&dir);
         compact(&s, &dir, false).unwrap();
 
         // Retained prior generations still resolve, with their content.
@@ -710,7 +638,7 @@ mod tests {
     fn unretained_generation_is_reclaimed_by_compaction() {
         let dir = temp_dir("reclaim");
         let s = multi_generation_db(&dir);
-        let (committed, _) = generations(&dir);
+        let (committed, _) = persist::generations(&dir);
         compact(&s, &dir, false).unwrap();
         // Default retention = 0: the pre-compaction generation's files are
         // gone, so time travel to it reports GenerationNotRetained.

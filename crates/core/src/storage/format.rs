@@ -17,11 +17,8 @@
 //! crc32 u32 LE        (over every preceding byte)
 //! ```
 //!
-//! Version 1 files (identical body, no checksum trailer) remain readable;
-//! [`serialize`] always writes version 2.
-//!
 //! The decoder is hostile-input proof: the checksum is verified before the
-//! body is parsed (v2), every wire-supplied count is validated against the
+//! body is parsed, every wire-supplied count is validated against the
 //! remaining byte budget before allocation (a cell costs at least one
 //! payload byte, so `n_rows * arity` may never exceed the bytes left), and
 //! columns are built directly in the table's columnar layout.
@@ -56,10 +53,11 @@ fn cell_tag(cell: &Cell) -> u8 {
     }
 }
 
-fn serialize_body(table: &CompressedTable, version: u8) -> Vec<u8> {
+/// Serialize a compressed table (version 2, with crc32 trailer).
+pub fn serialize(table: &CompressedTable) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + table.n_rows() * 2);
     out.extend_from_slice(MAGIC);
-    out.push(version);
+    out.push(VERSION);
     out.push(match table.orientation() {
         Orientation::Backward => 0,
         Orientation::Forward => 1,
@@ -117,37 +115,23 @@ fn serialize_body(table: &CompressedTable, version: u8) -> Vec<u8> {
             }
         }
     }
-    out
-}
-
-/// Serialize a compressed table (current version: 2, with crc32 trailer).
-pub fn serialize(table: &CompressedTable) -> Vec<u8> {
-    let mut out = serialize_body(table, VERSION);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Legacy version-1 writer (no checksum trailer). Kept so backward-
-/// compatibility tests and migration tooling can produce the exact bytes
-/// earlier releases wrote; new code should use [`serialize`].
-pub fn serialize_v1(table: &CompressedTable) -> Vec<u8> {
-    serialize_body(table, 1)
-}
-
-/// Deserialize a table produced by [`serialize`] (v2) or by the legacy v1
-/// writer. The v2 checksum is verified before any parsing; all counts are
-/// validated against the remaining input before allocation, so hostile
-/// bytes can never demand more than a small constant factor of the input
-/// length in memory.
+/// Deserialize a table produced by [`serialize`]. The checksum is
+/// verified before any parsing; all counts are validated against the
+/// remaining input before allocation, so hostile bytes can never demand
+/// more than a small constant factor of the input length in memory.
 pub fn deserialize(data: &[u8]) -> Result<CompressedTable> {
     deserialize_with_body_crc(data, None)
 }
 
 /// [`deserialize`] for a caller that already hashed the bytes:
 /// `body_crc`, when given, must be the crc32 of `data[..data.len() - 4]`
-/// and stands in for the v2 trailer check's own pass over the body (so a
-/// table file is hashed once, not once per check). v1 data ignores it.
+/// and stands in for the trailer check's own pass over the body (so a
+/// table file is hashed once, not once per check).
 pub(crate) fn deserialize_with_body_crc(
     data: &[u8],
     body_crc: Option<u32>,
@@ -155,22 +139,18 @@ pub(crate) fn deserialize_with_body_crc(
     if data.len() < 6 || &data[..4] != MAGIC {
         return Err(DslogError::Corrupt("bad magic"));
     }
-    let body = match data[4] {
-        1 => data,
-        2 => {
-            // Trailer: 4-byte little-endian crc32 over everything before it.
-            if data.len() < 10 {
-                return Err(DslogError::Corrupt("truncated v2 table"));
-            }
-            let (body, trailer) = data.split_at(data.len() - 4);
-            let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-            if body_crc.unwrap_or_else(|| crc32(body)) != stored {
-                return Err(DslogError::Corrupt("table checksum mismatch"));
-            }
-            body
-        }
-        _ => return Err(DslogError::Corrupt("unsupported version")),
-    };
+    if data[4] != VERSION {
+        return Err(DslogError::Corrupt("unsupported version"));
+    }
+    // Trailer: 4-byte little-endian crc32 over everything before it.
+    if data.len() < 10 {
+        return Err(DslogError::Corrupt("truncated v2 table"));
+    }
+    let (body, trailer) = data.split_at(data.len() - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
+    if body_crc.unwrap_or_else(|| crc32(body)) != stored {
+        return Err(DslogError::Corrupt("table checksum mismatch"));
+    }
     let orientation = match body[5] {
         0 => Orientation::Backward,
         1 => Orientation::Forward,
@@ -327,9 +307,6 @@ mod tests {
         assert_eq!(&back, t);
         let gz = serialize_gzip(t);
         assert_eq!(&deserialize_gzip(&gz).unwrap(), t);
-        // The legacy v1 bytes parse to the same table.
-        let v1 = serialize_v1(t);
-        assert_eq!(&deserialize(&v1).unwrap(), t);
     }
 
     #[test]
@@ -425,7 +402,7 @@ mod tests {
         // attempting a multi-GiB allocation.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        bytes.push(1); // v1: no checksum to forge, exercises raw validation
+        bytes.push(VERSION);
         bytes.push(0); // backward
         write_uvarint(&mut bytes, 1); // prim arity
         write_uvarint(&mut bytes, 1); // sec arity
@@ -433,6 +410,9 @@ mod tests {
         write_ivarint(&mut bytes, 4);
         write_uvarint(&mut bytes, u64::MAX >> 2); // hostile n_rows
         bytes.push(0); // a little trailing garbage
+
+        // A valid trailer, so decoding reaches the byte-budget check.
+        bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
         assert!(matches!(
             deserialize(&bytes),
             Err(DslogError::Corrupt("row count exceeds input size"))
@@ -443,7 +423,7 @@ mod tests {
     fn hostile_arity_times_rows_overflow_rejected() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        bytes.push(1);
+        bytes.push(VERSION);
         bytes.push(0);
         write_uvarint(&mut bytes, 128); // prim arity
         write_uvarint(&mut bytes, 128); // sec arity → arity 256
@@ -451,6 +431,10 @@ mod tests {
             write_ivarint(&mut bytes, 2);
         }
         write_uvarint(&mut bytes, u64::MAX >> 1); // n * arity overflows
-        assert!(deserialize(&bytes).is_err());
+        bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
+        assert!(matches!(
+            deserialize(&bytes),
+            Err(DslogError::Corrupt("row count exceeds input size"))
+        ));
     }
 }

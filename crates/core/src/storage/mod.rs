@@ -47,28 +47,20 @@ pub enum Materialize {
     Both,
 }
 
-/// A not-yet-loaded table file referenced by a v2 catalog: everything
-/// needed to read, verify, and decode it on first use.
+/// A not-yet-loaded table referenced by the catalog: everything needed to
+/// read, verify, and decode it on first use.
 #[derive(Debug, Clone)]
 pub(crate) struct DiskTable {
-    /// Absolute path of the `edge-*.tbl[.gz]` file.
-    pub(crate) path: std::path::PathBuf,
+    /// The database directory the record's file name is relative to.
+    pub(crate) dir: std::path::PathBuf,
     /// Whether the file uses the ProvRC-GZip disk format.
     pub(crate) gzip: bool,
-    /// Expected byte length, from the catalog.
-    pub(crate) len: u64,
-    /// Expected crc32 of the raw file bytes, from the catalog.
-    pub(crate) crc: u32,
-    /// Byte length of the plain (un-gzipped) serialized table, from the
-    /// catalog; equals `len` when `gzip` is off. Lets `storage_bytes`
-    /// report the same number for lazy and loaded slots.
-    pub(crate) raw_len: u64,
-    /// Orientation the catalog says this file stores.
+    /// Orientation the catalog says this table stores.
     pub(crate) orientation: Orientation,
-    /// `Some(byte offset)` when the table is a live range inside a shared
-    /// compaction segment (`segment-*.seg`); `None` for a whole
-    /// `edge-*` file. The range spans `offset..offset + len`.
-    pub(crate) offset: Option<u64>,
+    /// The catalog record: file (or segment range), byte length, crc32,
+    /// and plain serialized length (which lets `storage_bytes` report the
+    /// same number for lazy and loaded slots).
+    pub(crate) record: FileRecord,
 }
 
 impl DiskTable {
@@ -77,31 +69,20 @@ impl DiskTable {
     /// mismatch is a hard error: a lazily opened database must fail
     /// exactly where an eager open would have.
     pub(crate) fn load(&self) -> Result<CompressedTable> {
-        persist::load_table_file(
-            &self.path,
-            self.gzip,
-            self.orientation,
-            Some((self.len, self.crc, self.raw_len)),
-            self.offset,
-        )
+        persist::load_table_file(&self.dir, self.gzip, self.orientation, &self.record)
     }
 
     /// Read + verify the file and return its plain (un-gzipped) serialized
     /// bytes without decoding a table — the save path re-writes tables
     /// verbatim this way instead of decode + re-encode.
     pub(crate) fn read_plain_bytes(&self) -> Result<Vec<u8>> {
-        let bytes = persist::read_verified_bytes(
-            &self.path,
-            self.gzip,
-            Some((self.len, self.crc, self.raw_len)),
-            self.offset,
-        )?;
+        let bytes = persist::read_verified_bytes(&self.dir, self.gzip, &self.record)?;
         let plain = if self.gzip {
             dslog_codecs::gzip::decompress(&bytes)?
         } else {
             bytes
         };
-        if plain.len() as u64 != self.raw_len {
+        if plain.len() as u64 != self.record.raw_len {
             return Err(DslogError::Corrupt("edge file declared size mismatch"));
         }
         Ok(plain)
@@ -295,13 +276,10 @@ impl Edge {
         let mut slot = self.slot(orientation).write();
         if let Some(TableSource::OnDisk(_)) = &slot.source {
             slot.source = Some(TableSource::OnDisk(DiskTable {
-                path: dir.join(&record.name),
+                dir: dir.to_path_buf(),
                 gzip,
-                len: record.len,
-                crc: record.crc,
-                raw_len: record.raw_len,
                 orientation,
-                offset: record.offset,
+                record: record.clone(),
             }));
         }
         slot.persisted = Some(record);
@@ -1032,7 +1010,7 @@ impl StorageManager {
         fn slot_bytes(slot: &RwLock<Slot>) -> Option<usize> {
             match &slot.read().source {
                 Some(TableSource::Loaded(t)) => Some(format::serialize(t).len()),
-                Some(TableSource::OnDisk(d)) => Some(d.raw_len as usize),
+                Some(TableSource::OnDisk(d)) => Some(d.record.raw_len as usize),
                 None => None,
             }
         }

@@ -67,10 +67,6 @@
 //! signature tables are deliberately not persisted — they are a cache whose
 //! correctness is re-validated per process anyway (§VI.C re-confirms
 //! mappings after `m` calls).
-//!
-//! Version-1 directories (catalog magic `DSLGDB1`, un-checksummed v1 table
-//! files named `edge-<i>-<o>.tbl[.gz]`) remain fully readable; saving over
-//! one upgrades it to v2 in place.
 
 use super::wal::{self, IoPolicy};
 use super::{format, ArrayMeta, DiskTable, Edge, FileRecord, Slot, StorageManager, TableSource};
@@ -79,10 +75,9 @@ use crate::table::Orientation;
 use dslog_codecs::crc32::{crc32, Crc32};
 use dslog_codecs::varint::{read_uvarint, write_uvarint};
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const CATALOG_MAGIC_V1: &[u8; 8] = b"DSLGDB1\0";
 const CATALOG_MAGIC_V2: &[u8; 8] = b"DSLGDB2\0";
 /// v3 adds one uvarint byte offset per file record, so a reference can be
 /// a live range inside a shared compaction segment (`segment-*.seg`).
@@ -125,14 +120,7 @@ fn orientation_char(orientation: Orientation) -> char {
     }
 }
 
-/// Legacy (v1 catalog) table file name.
-fn edge_file_name_v1(idx: usize, orientation: Orientation, gzip: bool) -> String {
-    let o = orientation_char(orientation);
-    let ext = if gzip { "tbl.gz" } else { "tbl" };
-    format!("edge-{idx}-{o}.{ext}")
-}
-
-/// Generation-qualified table file name (v2 catalogs). The generation makes
+/// Generation-qualified table file name. The generation makes
 /// the name unique per save, so an in-progress save can never clobber a
 /// file the committed catalog still references.
 fn edge_file_name(idx: usize, orientation: Orientation, gzip: bool, gen: u64) -> String {
@@ -156,7 +144,7 @@ pub(crate) fn manifest_file_name(gen: u64) -> String {
 /// Extract the generation from a generation-qualified data file name —
 /// `edge-<i>-<o>.g<gen>.…`, `segment-<k>.g<gen>.seg`, or
 /// `manifest.g<gen>.dsl` (also matches leftover `.tmp` siblings). `None`
-/// for v1-style names.
+/// for any other name.
 pub(crate) fn parse_generation(name: &str) -> Option<u64> {
     let rest = name
         .strip_prefix("edge-")
@@ -329,7 +317,7 @@ pub(crate) fn spared_set(
             if let Ok(old) = parse_catalog(catalog) {
                 for edge in &old.edges {
                     for fref in &edge.files {
-                        spared.insert(fref.name.clone());
+                        spared.insert(fref.record.name.clone());
                     }
                 }
                 spared.insert(manifest_file_name(old.generation));
@@ -459,6 +447,160 @@ pub(crate) fn build_catalog_bytes(
     Ok(catalog)
 }
 
+/// A commit in progress: the writer state taken before the caller writes
+/// any data file, and consumed by [`finish`](Self::finish) — the one
+/// commit point [`commit`] and [`super::compact::compact`] share.
+///
+/// Holding it holds the manager's commit lock: two interleaved writers
+/// would race the generation counter and each other's sweeps. The binding
+/// mutex itself is taken only briefly, so binding readers (service stats)
+/// never wait on IO. The operation-log side is snapshotted once, up
+/// front: the fault policy (it gates the data-file writes too), the
+/// actor, retention, and the buffered records this commit will flush.
+/// Operations arriving concurrently from other epochs stay buffered for
+/// the next commit.
+pub(crate) struct PendingCommit<'a> {
+    storage: &'a StorageManager,
+    _commit_guard: dslog_sync::MutexGuard<'a, ()>,
+    /// Canonical database directory, so `open("./db")` then
+    /// `commit("db")` still matches the binding.
+    pub(crate) dir: PathBuf,
+    /// The manager's binding when the commit began.
+    pub(crate) bound: Option<super::PersistBinding>,
+    /// Generation of the directory's committed catalog.
+    prior_gen: u64,
+    /// Generation this commit writes.
+    pub(crate) gen: u64,
+    policy: Option<Arc<IoPolicy>>,
+    pending: Vec<wal::PendingOp>,
+    actor: String,
+    retain: u32,
+}
+
+impl<'a> PendingCommit<'a> {
+    pub(crate) fn begin(storage: &'a StorageManager, dir: &Path) -> Result<Self> {
+        let dir = dir
+            .canonicalize()
+            .map_err(|e| DslogError::io("canonicalize database dir", e))?;
+        let _commit_guard = storage.commit_lock.lock();
+        let bound = storage.binding.lock().clone();
+        let (prior_gen, gen) = generations(&dir);
+        let (policy, pending, actor, retain) = {
+            let w = storage.wal.lock();
+            (
+                w.io_policy.clone(),
+                w.pending.clone(),
+                w.actor.clone(),
+                w.effective_retain(),
+            )
+        };
+        Ok(Self {
+            storage,
+            _commit_guard,
+            dir,
+            bound,
+            prior_gen,
+            gen,
+            policy,
+            pending,
+            actor,
+            retain,
+        })
+    }
+
+    /// The fault-injection policy every write and sync is gated by.
+    pub(crate) fn policy(&self) -> Option<&IoPolicy> {
+        self.policy.as_deref()
+    }
+
+    /// Commit `planned` (per edge: key, orientation mask, file records)
+    /// once every data file it names is written and renamed into place:
+    ///
+    /// 1. sync the directory, so those renames cannot reorder after the
+    ///    commit;
+    /// 2. flush the operation log — buffered records, then `marker` (if
+    ///    any), then a `Commit` record embedding the exact catalog bytes —
+    ///    and fdatasync it, so the log is always at least as new as the
+    ///    catalog (reconciling against the prior generation first heals
+    ///    any torn tail and continues the op ids past the survivors);
+    /// 3. rename the catalog into place — the single commit point — call
+    ///    `after_rename`, and sync the directory again;
+    /// 4. sweep every data file outside the shared [`spared_set`]: what
+    ///    the new catalog references plus what the retained log window
+    ///    still names;
+    /// 5. publish: mark the `written` slots clean (repointing lazy sources
+    ///    at their new files), re-bind the manager, and only then drop the
+    ///    flushed records from the buffer. On any earlier error they stay
+    ///    pending, and the next attempt's recovery truncates whatever the
+    ///    failed append wrote, so nothing is lost or double-counted.
+    pub(crate) fn finish(
+        self,
+        gzip: bool,
+        planned: &[(&(String, String), u8, Vec<FileRecord>)],
+        written: Vec<(&(String, String), Orientation, FileRecord)>,
+        marker: Option<wal::OpKind>,
+        after_rename: impl FnOnce(),
+    ) -> Result<()> {
+        let (dir, policy) = (&self.dir, self.policy.as_deref());
+        let catalog = build_catalog_bytes(self.storage, gzip, self.gen, planned)?;
+        sync_dir(dir, policy)?;
+
+        // A foreign target starts a fresh log: whatever history it holds
+        // describes the database being replaced, not this manager.
+        let recovery = match &self.bound {
+            Some(b) if b.dir == *dir => wal::recover(dir, self.prior_gen),
+            _ => wal::Recovery::default(),
+        };
+        let record = |kind, actor: &str, timestamp_ms, gen_after| wal::OpRecord {
+            op_id: 0,
+            timestamp_ms,
+            actor: actor.to_string(),
+            gen_before: self.prior_gen,
+            gen_after,
+            kind,
+        };
+        let mut records: Vec<wal::OpRecord> = self
+            .pending
+            .iter()
+            .map(|p| record(p.kind.clone(), &p.actor, p.timestamp_ms, self.prior_gen))
+            .collect();
+        records.extend(marker.map(|kind| record(kind, &self.actor, wal::now_ms(), self.prior_gen)));
+        let commit = wal::OpKind::Commit {
+            catalog: catalog.clone(),
+        };
+        records.push(record(commit, &self.actor, wal::now_ms(), self.gen));
+        for (rec, op_id) in records.iter_mut().zip(recovery.last_op_id + 1..) {
+            rec.op_id = op_id;
+        }
+        wal::append(dir, recovery.clean_len, &records, policy)?;
+
+        write_atomic(&dir.join(CATALOG_FILE), &catalog, "write catalog", policy)?;
+        after_rename();
+        sync_dir(dir, policy)?;
+
+        let referenced: HashSet<String> = planned
+            .iter()
+            .flat_map(|(_, _, rs)| rs.iter().map(|r| r.name.clone()))
+            .collect();
+        sweep_stale_files(
+            dir,
+            &spared_set(&referenced, &recovery.records, Some(self.retain as usize)),
+        );
+
+        let storage = self.storage;
+        for (key, orientation, record) in written {
+            storage.edges[key].publish_committed(orientation, record, dir, gzip);
+        }
+        *storage.binding.lock() = Some(super::PersistBinding {
+            dir: dir.clone(),
+            gzip,
+            generation: self.gen,
+        });
+        storage.wal.lock().pending.drain(..self.pending.len());
+        Ok(())
+    }
+}
+
 /// Commit a storage manager into `dir` (created if missing). With `gzip`
 /// the table files use the ProvRC-GZip disk format — the configuration the
 /// paper recommends for long-term storage.
@@ -477,48 +619,19 @@ pub(crate) fn build_catalog_bytes(
 /// `gzip` flag — is safe and replaces it completely.
 pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<CommitReport> {
     std::fs::create_dir_all(dir).map_err(|e| DslogError::io("create database dir", e))?;
-    // Canonical form so `open("./db")` then `commit("db")` still matches.
-    let dir = dir
-        .canonicalize()
-        .map_err(|e| DslogError::io("canonicalize database dir", e))?;
-    // Held for the whole commit: serializes concurrent commits on this
-    // manager (two interleaved writers would race the generation counter
-    // and each other's sweeps). The binding mutex itself is taken only
-    // briefly, so binding readers (service stats) never wait on IO.
-    let _commit_guard = storage.commit_lock.lock();
-    let bound = storage.binding.lock().clone();
-    let incremental = matches!(&bound, Some(b) if b.dir == dir && b.gzip == gzip);
+    let pending = PendingCommit::begin(storage, dir)?;
+    let incremental = matches!(&pending.bound, Some(b) if b.dir == pending.dir && b.gzip == gzip);
     // Same directory, flipped gzip mode: an in-place conversion of the
     // bound database, not a replacement — its operation log carries over
-    // (with a conversion record). Any other unbound/foreign target starts
-    // a fresh log: whatever history the directory holds describes the
-    // database being replaced, not this manager.
-    let same_dir = matches!(&bound, Some(b) if b.dir == dir);
-    let conversion = same_dir && !incremental;
-    let (prior_gen, gen) = generations(&dir);
-
-    // Snapshot the operation-log side once: the fault policy, the actor,
-    // retention, and how many buffered records this commit will flush
-    // (operations arriving concurrently from other epochs stay buffered
-    // for the next commit).
-    let (arc_policy, pending_ops, actor, retain) = {
-        let w = storage.wal.lock();
-        (
-            w.io_policy.clone(),
-            w.pending.clone(),
-            w.actor.clone(),
-            w.effective_retain(),
-        )
-    };
-    let policy = arc_policy.as_deref();
-    let n_pending = pending_ops.len();
+    // with a conversion record.
+    let conversion = !incremental && matches!(&pending.bound, Some(b) if b.dir == pending.dir);
+    let (dir, gen, policy) = (&pending.dir, pending.gen, pending.policy());
 
     // Plan + write pass: edges sorted by (in, out) for determinism. Dirty
     // slots' files are fully written (and renamed into their generation-
     // unique names) before the catalog that references them is even
     // assembled — whether the catalog needs the v3 format (offset-bearing
     // records) is only known once every reused record has been seen.
-    let mut referenced: HashSet<String> = HashSet::new();
     let mut keys: Vec<&(String, String)> = storage.edges.keys().collect();
     keys.sort();
     let mut files_written = 0usize;
@@ -536,7 +649,7 @@ pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Commit
             plans.push((
                 bit,
                 orientation,
-                plan_slot(source, persisted, incremental, &dir)?,
+                plan_slot(source, persisted, incremental, dir)?,
             ));
         }
         let mask = plans
@@ -551,7 +664,6 @@ pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Commit
             match plan {
                 SlotPlan::Absent => {}
                 SlotPlan::Reuse(record) => {
-                    referenced.insert(record.name.clone());
                     files_reused += 1;
                     records.push(record);
                 }
@@ -567,14 +679,13 @@ pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Commit
                     files_written += 1;
                     crash_injection_point(files_written);
                     let record = FileRecord {
-                        name: name.clone(),
+                        name,
                         len: bytes.len() as u64,
                         crc: crc32(&bytes),
                         raw_len,
                         offset: None,
                     };
                     bytes_written += record.len;
-                    referenced.insert(name);
                     newly_clean.push((key, orientation, record.clone()));
                     records.push(record);
                 }
@@ -583,93 +694,8 @@ pub fn commit(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<Commit
         planned.push((key, mask, records));
     }
 
-    let catalog = build_catalog_bytes(storage, gzip, gen, &planned)?;
-
-    // Make the edge-file renames durable BEFORE the catalog can commit:
-    // directory entries have no ordering guarantee on power loss otherwise.
-    sync_dir(&dir, policy)?;
-
-    // Flush the operation log — buffered mutations, the conversion marker
-    // if the gzip mode flipped in place, then a commit record embedding
-    // the exact catalog bytes about to be renamed live — and fdatasync it
-    // BEFORE the catalog rename, so the log is always at least as new as
-    // the catalog. Reconciling against the *prior* generation first heals
-    // any torn tail and assigns fresh monotonic op ids past the survivors.
-    let recovery = if same_dir {
-        wal::recover(&dir, prior_gen)
-    } else {
-        wal::Recovery::default()
-    };
-    let mut op_id = recovery.last_op_id;
-    let mut new_records: Vec<wal::OpRecord> = Vec::with_capacity(n_pending + 2);
-    for p in &pending_ops {
-        op_id += 1;
-        new_records.push(wal::OpRecord {
-            op_id,
-            timestamp_ms: p.timestamp_ms,
-            actor: p.actor.clone(),
-            gen_before: prior_gen,
-            gen_after: prior_gen,
-            kind: p.kind.clone(),
-        });
-    }
-    if conversion {
-        op_id += 1;
-        new_records.push(wal::OpRecord {
-            op_id,
-            timestamp_ms: wal::now_ms(),
-            actor: actor.clone(),
-            gen_before: prior_gen,
-            gen_after: prior_gen,
-            kind: wal::OpKind::ConvertGzip { gzip },
-        });
-    }
-    op_id += 1;
-    new_records.push(wal::OpRecord {
-        op_id,
-        timestamp_ms: wal::now_ms(),
-        actor,
-        gen_before: prior_gen,
-        gen_after: gen,
-        kind: wal::OpKind::Commit {
-            catalog: catalog.clone(),
-        },
-    });
-    wal::append(&dir, recovery.clean_len, &new_records, policy)?;
-
-    // Commit point: once this rename lands, the new snapshot is live.
-    write_atomic(&dir.join(CATALOG_FILE), &catalog, "write catalog", policy)?;
-
-    // And make the commit itself durable before destroying old state.
-    sync_dir(&dir, policy)?;
-
-    // Sweep every data file the committed catalog does not reference:
-    // previous generations, v1-style names, opposite-compression
-    // leftovers, and `.tmp` debris from crashed commits — except files a
-    // retained prior generation (per the WAL retention policy) still
-    // names, which `open_as_of` may yet resolve. The sparing rule is the
-    // shared [`spared_set`], identical to the one compaction and open use.
-    sweep_stale_files(
-        &dir,
-        &spared_set(&referenced, &recovery.records, Some(retain as usize)),
-    );
-
-    // Publish: mark the written slots clean (repointing lazy sources at
-    // their new files) and re-bind the manager, so the next commit into
-    // this directory rewrites none of them.
-    for (key, orientation, record) in newly_clean {
-        storage.edges[key].publish_committed(orientation, record, &dir, gzip);
-    }
-    *storage.binding.lock() = Some(super::PersistBinding {
-        dir,
-        gzip,
-        generation: gen,
-    });
-    // Only now — with the commit fully durable — drop the flushed records
-    // from the buffer. On any earlier error they stay pending, and the
-    // next attempt's recovery pass truncates whatever the failed append
-    // managed to write, so nothing is lost or double-counted.
-    storage.wal.lock().pending.drain(..n_pending);
+    let marker = conversion.then_some(wal::OpKind::ConvertGzip { gzip });
+    pending.finish(gzip, &planned, newly_clean, marker, || {})?;
     Ok(CommitReport {
         generation: gen,
         incremental,
@@ -686,17 +712,12 @@ pub fn save(storage: &StorageManager, dir: &Path, gzip: bool) -> Result<()> {
     commit(storage, dir, gzip).map(drop)
 }
 
-/// One table reference of a parsed catalog: a whole `edge-*` file, or (v3)
-/// a live range inside a shared compaction segment.
+/// One table reference of a parsed catalog: the record of a whole
+/// `edge-*` file, or (v3) of a live range inside a shared compaction
+/// segment, and the orientation it stores.
 pub(crate) struct FileRef {
-    pub(crate) name: String,
+    pub(crate) record: FileRecord,
     pub(crate) orientation: Orientation,
-    /// `(file byte length, crc32, plain serialized length)` — recorded by
-    /// v2+ catalogs, absent in v1. For a segment range, `len`/`crc` cover
-    /// the range's bytes, not the whole segment file.
-    pub(crate) check: Option<(u64, u32, u64)>,
-    /// `Some(byte offset)` for a segment range, `None` for a whole file.
-    pub(crate) offset: Option<u64>,
 }
 
 /// One edge entry of a parsed catalog.
@@ -710,8 +731,7 @@ pub(crate) struct CatalogEdge {
 pub(crate) struct Catalog {
     pub(crate) version: u8,
     pub(crate) gzip: bool,
-    /// Snapshot generation (0 for v1 catalogs); the next save uses a
-    /// strictly larger one.
+    /// Snapshot generation; the next save uses a strictly larger one.
     pub(crate) generation: u64,
     pub(crate) arrays: HashMap<String, ArrayMeta>,
     pub(crate) edges: Vec<CatalogEdge>,
@@ -722,33 +742,28 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
         return Err(DslogError::Corrupt("catalog too short"));
     }
     let version = match &data[..8] {
-        m if m == CATALOG_MAGIC_V1 => 1,
+        b"DSLGDB1\0" => {
+            return Err(DslogError::Corrupt(
+                "catalog version 1 is no longer supported",
+            ))
+        }
         m if m == CATALOG_MAGIC_V2 => 2,
         m if m == CATALOG_MAGIC_V3 => 3,
         _ => return Err(DslogError::Corrupt("bad catalog magic")),
     };
-    let data = if version >= 2 {
-        // v2 catalogs end in a crc32 trailer over everything before it;
-        // verify before parsing so any corruption is caught up front.
-        if data.len() < 13 {
-            return Err(DslogError::Corrupt("catalog too short"));
-        }
-        let (body, trailer) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(DslogError::Corrupt("catalog checksum mismatch"));
-        }
-        body
-    } else {
-        data
-    };
+    // The catalog ends in a crc32 trailer over everything before it;
+    // verify before parsing so any corruption is caught up front.
+    if data.len() < 13 {
+        return Err(DslogError::Corrupt("catalog too short"));
+    }
+    let (data, trailer) = data.split_at(data.len() - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
+    if crc32(data) != stored {
+        return Err(DslogError::Corrupt("catalog checksum mismatch"));
+    }
     let gzip = data[8] != 0;
     let mut pos = 9usize;
-    let generation = if version >= 2 {
-        read_uvarint(data, &mut pos)?
-    } else {
-        0
-    };
+    let generation = read_uvarint(data, &mut pos)?;
 
     let mut arrays = HashMap::new();
     let n_arrays = read_uvarint(data, &mut pos)? as usize;
@@ -769,7 +784,7 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
 
     let mut edges = Vec::new();
     let n_edges = read_uvarint(data, &mut pos)? as usize;
-    for idx in 0..n_edges {
+    for _ in 0..n_edges {
         let in_name = read_string(data, &mut pos)?;
         let out_name = read_string(data, &mut pos)?;
         if !arrays.contains_key(&out_name) {
@@ -790,47 +805,44 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
             if mask & bit == 0 {
                 continue;
             }
-            let (name, check, offset) = if version >= 2 {
-                let name = read_string(data, &mut pos)?;
-                // Catalogs are untrusted input: a table reference must be
-                // a bare `edge-*` (or, v3, `segment-*`) file name inside
-                // the database directory (no separators, so it can never
-                // escape it), and not a `.tmp` name the sweep would
-                // reclaim.
-                let prefix_ok =
-                    name.starts_with("edge-") || (version >= 3 && name.starts_with("segment-"));
-                if !prefix_ok || name.contains('/') || name.contains('\\') || name.ends_with(".tmp")
-                {
+            let name = read_string(data, &mut pos)?;
+            // Catalogs are untrusted input: a table reference must be a
+            // bare `edge-*` (or, v3, `segment-*`) file name inside the
+            // database directory (no separators, so it can never escape
+            // it), and not a `.tmp` name the sweep would reclaim.
+            let prefix_ok =
+                name.starts_with("edge-") || (version >= 3 && name.starts_with("segment-"));
+            if !prefix_ok || name.contains('/') || name.contains('\\') || name.ends_with(".tmp") {
+                return Err(DslogError::Corrupt(
+                    "catalog references an illegal file name",
+                ));
+            }
+            let len = read_uvarint(data, &mut pos)?;
+            let crc = read_u32_le(data, &mut pos)?;
+            let raw_len = read_uvarint(data, &mut pos)?;
+            let offset = if version >= 3 {
+                let off = read_uvarint(data, &mut pos)?;
+                if name.starts_with("segment-") {
+                    Some(off)
+                } else if off == 0 {
+                    None
+                } else {
                     return Err(DslogError::Corrupt(
-                        "catalog references an illegal file name",
+                        "catalog records an offset into a whole edge file",
                     ));
                 }
-                let len = read_uvarint(data, &mut pos)?;
-                let crc = read_u32_le(data, &mut pos)?;
-                let raw_len = read_uvarint(data, &mut pos)?;
-                let offset = if version >= 3 {
-                    let off = read_uvarint(data, &mut pos)?;
-                    if name.starts_with("segment-") {
-                        Some(off)
-                    } else if off == 0 {
-                        None
-                    } else {
-                        return Err(DslogError::Corrupt(
-                            "catalog records an offset into a whole edge file",
-                        ));
-                    }
-                } else {
-                    None
-                };
-                (name, Some((len, crc, raw_len)), offset)
             } else {
-                (edge_file_name_v1(idx, orientation, gzip), None, None)
+                None
             };
             files.push(FileRef {
-                name,
+                record: FileRecord {
+                    name,
+                    len,
+                    crc,
+                    raw_len,
+                    offset,
+                },
                 orientation,
-                check,
-                offset,
             });
         }
         edges.push(CatalogEdge {
@@ -850,39 +862,22 @@ pub(crate) fn parse_catalog(data: &[u8]) -> Result<Catalog> {
 
 /// Read one table — a whole file (`offset: None`) or a live range inside a
 /// shared compaction segment (`offset: Some`) — and verify it against its
-/// catalog record when one exists: byte length, crc32, and — for gzip —
-/// the container's claimed uncompressed size vs the recorded plain length
-/// (so a later decompress is bounded by the catalog, not by whatever the
-/// file body claims). Returns the raw table bytes.
-pub(crate) fn read_verified_bytes(
-    path: &Path,
-    gzip: bool,
-    check: Option<(u64, u32, u64)>,
-    offset: Option<u64>,
-) -> Result<Vec<u8>> {
-    let bytes = read_table_bytes(path, check, offset)?;
-    if let Some(record) = check {
-        check_record(&bytes, gzip, record, crc32(&bytes))?;
-    }
+/// catalog record: byte length, crc32, and — for gzip — the container's
+/// claimed uncompressed size vs the recorded plain length (so a later
+/// decompress is bounded by the catalog, not by whatever the file body
+/// claims). Returns the raw table bytes.
+pub(crate) fn read_verified_bytes(dir: &Path, gzip: bool, record: &FileRecord) -> Result<Vec<u8>> {
+    let bytes = read_table_bytes(dir, record)?;
+    check_record(&bytes, gzip, record, crc32(&bytes))?;
     Ok(bytes)
 }
 
 /// The raw bytes of one table file or segment range, unverified.
-fn read_table_bytes(
-    path: &Path,
-    check: Option<(u64, u32, u64)>,
-    offset: Option<u64>,
-) -> Result<Vec<u8>> {
-    match offset {
+fn read_table_bytes(dir: &Path, record: &FileRecord) -> Result<Vec<u8>> {
+    let path = dir.join(&record.name);
+    match record.offset {
         None => std::fs::read(path).map_err(|e| DslogError::io("read edge table", e)),
         Some(off) => {
-            // A range read without its catalog record would have no length
-            // to read — v3 catalogs always record one.
-            let Some((len, _, _)) = check else {
-                return Err(DslogError::Corrupt(
-                    "segment range without a catalog record",
-                ));
-            };
             use std::io::{Read as _, Seek as _};
             let mut f =
                 std::fs::File::open(path).map_err(|e| DslogError::io("open segment file", e))?;
@@ -891,7 +886,7 @@ fn read_table_bytes(
             // Bounded by the catalog-recorded range length, which the crc
             // check vouches for. lint:checked-alloc — len comes from
             // the crc-trailed catalog, and read_exact fails on truncation.
-            let mut buf = vec![0u8; len as usize];
+            let mut buf = vec![0u8; record.len as usize];
             f.read_exact(&mut buf)
                 .map_err(|e| DslogError::io("read segment range", e))?;
             Ok(buf)
@@ -900,29 +895,24 @@ fn read_table_bytes(
 }
 
 /// Check table bytes whose crc32 is `file_crc` against their catalog
-/// record `(len, crc, raw_len)`.
-fn check_record(
-    bytes: &[u8],
-    gzip: bool,
-    (len, crc, raw_len): (u64, u32, u64),
-    file_crc: u32,
-) -> Result<()> {
-    if bytes.len() as u64 != len {
+/// record.
+fn check_record(bytes: &[u8], gzip: bool, record: &FileRecord, file_crc: u32) -> Result<()> {
+    if bytes.len() as u64 != record.len {
         return Err(DslogError::Corrupt("edge file length mismatch"));
     }
-    if file_crc != crc {
+    if file_crc != record.crc {
         return Err(DslogError::Corrupt("edge file checksum mismatch"));
     }
-    if gzip && dslog_codecs::gzip::declared_len(bytes)? != raw_len {
+    if gzip && dslog_codecs::gzip::declared_len(bytes)? != record.raw_len {
         return Err(DslogError::Corrupt("edge file declared size mismatch"));
     }
     Ok(())
 }
 
-/// Read + fully validate one table file (length/crc when recorded, then
-/// structural decode, then orientation agreement with the catalog). Both
-/// eager open and the lazy `DiskTable::load` path go through here, so
-/// verification can never diverge between the two.
+/// Read + fully validate one table file (length and crc against the
+/// catalog record, then structural decode, then orientation agreement with
+/// the catalog). Both eager open and the lazy `DiskTable::load` path go
+/// through here, so verification can never diverge between the two.
 ///
 /// A plain file is hashed once: the crc32 of everything but the last four
 /// bytes is the v2 trailer check's, and feeding those four bytes into the
@@ -930,31 +920,22 @@ fn check_record(
 /// check still runs first. Gzip files hash the compressed bytes (catalog)
 /// and the decompressed body (trailer) separately, as those differ.
 pub(crate) fn load_table_file(
-    path: &Path,
+    dir: &Path,
     gzip: bool,
     orientation: Orientation,
-    check: Option<(u64, u32, u64)>,
-    offset: Option<u64>,
+    record: &FileRecord,
 ) -> Result<crate::table::CompressedTable> {
-    let table = match check {
-        Some(record) if !gzip => {
-            let bytes = read_table_bytes(path, check, offset)?;
-            let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(4));
-            let mut hasher = Crc32::new();
-            hasher.update(body);
-            let body_crc = hasher.finalize();
-            hasher.update(trailer);
-            check_record(&bytes, gzip, record, hasher.finalize())?;
-            format::deserialize_with_body_crc(&bytes, Some(body_crc))?
-        }
-        _ => {
-            let bytes = read_verified_bytes(path, gzip, check, offset)?;
-            if gzip {
-                format::deserialize_gzip(&bytes)?
-            } else {
-                format::deserialize(&bytes)?
-            }
-        }
+    let table = if gzip {
+        format::deserialize_gzip(&read_verified_bytes(dir, gzip, record)?)?
+    } else {
+        let bytes = read_table_bytes(dir, record)?;
+        let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(4));
+        let mut hasher = Crc32::new();
+        hasher.update(body);
+        let body_crc = hasher.finalize();
+        hasher.update(trailer);
+        check_record(&bytes, gzip, record, hasher.finalize())?;
+        format::deserialize_with_body_crc(&bytes, Some(body_crc))?
     };
     if table.orientation() != orientation {
         return Err(DslogError::Corrupt("edge file orientation mismatch"));
@@ -1000,14 +981,8 @@ fn load_tables_sharded(
     jobs: &[(usize, &FileRef)],
 ) -> Result<HashMap<(usize, bool), crate::table::CompressedTable>> {
     let decode_one = |idx: usize, fref: &FileRef| {
-        load_table_file(
-            &dir.join(&fref.name),
-            catalog.gzip,
-            fref.orientation,
-            fref.check,
-            fref.offset,
-        )
-        .map(|t| ((idx, fref.orientation == Orientation::Forward), t))
+        load_table_file(dir, catalog.gzip, fref.orientation, &fref.record)
+            .map(|t| ((idx, fref.orientation == Orientation::Forward), t))
     };
     let shards = open_threads().min(jobs.len());
     if shards <= 1 {
@@ -1054,14 +1029,12 @@ fn load_catalog_edges(
 ) -> Result<(EdgeMap, HashSet<String>)> {
     // Everything to be decoded eagerly fans out across the scoped pool;
     // lazily referenced files are only stat'd (O(1) each) inline below.
-    // v1 catalogs record no checksums, so their files always load eagerly
-    // even under `lazy`.
     let eager_jobs: Vec<(usize, &FileRef)> = catalog
         .edges
         .iter()
         .enumerate()
         .flat_map(|(idx, entry)| entry.files.iter().map(move |fref| (idx, fref)))
-        .filter(|(_, fref)| !(lazy && fref.check.is_some()))
+        .filter(|_| !lazy)
         .collect();
     let mut loaded = load_tables_sharded(dir, catalog, &eager_jobs)?;
 
@@ -1071,7 +1044,7 @@ fn load_catalog_edges(
         let mut backward = Slot::default();
         let mut forward = Slot::default();
         for fref in &entry.files {
-            let path = dir.join(&fref.name);
+            let record = &fref.record;
             let forward_slot = fref.orientation == Orientation::Forward;
             let source = match loaded.remove(&(idx, forward_slot)) {
                 Some(table) => TableSource::Loaded(Arc::new(table)),
@@ -1081,45 +1054,30 @@ fn load_catalog_edges(
                     // length check here catches missing or truncated
                     // files at open time (for a segment range, the file
                     // must at least hold the range).
-                    let Some((len, crc, raw_len)) = fref.check else {
-                        return Err(DslogError::Corrupt("lazy slot without a catalog record"));
-                    };
-                    let meta = std::fs::metadata(&path)
+                    let meta = std::fs::metadata(dir.join(&record.name))
                         .map_err(|e| DslogError::io("stat edge table", e))?;
-                    let intact = match fref.offset {
-                        None => meta.len() == len,
-                        Some(off) => meta.len() >= off.saturating_add(len),
+                    let intact = match record.offset {
+                        None => meta.len() == record.len,
+                        Some(off) => meta.len() >= off.saturating_add(record.len),
                     };
                     if !intact {
                         return Err(DslogError::Corrupt("edge file length mismatch"));
                     }
                     TableSource::OnDisk(DiskTable {
-                        path,
+                        dir: dir.to_path_buf(),
                         gzip: catalog.gzip,
-                        len,
-                        crc,
-                        raw_len,
                         orientation: fref.orientation,
-                        offset: fref.offset,
+                        record: record.clone(),
                     })
                 }
             };
-            // A v2+ record means the on-disk bytes already hold exactly
-            // this slot's content: the slot opens *clean*, so a later
-            // incremental commit reuses the file untouched. v1 slots
-            // carry no checksums and open dirty (first commit upgrades
-            // them to v2 files).
-            let persisted = fref.check.map(|(len, crc, raw_len)| FileRecord {
-                name: fref.name.clone(),
-                len,
-                crc,
-                raw_len,
-                offset: fref.offset,
-            });
-            referenced.insert(fref.name.clone());
+            // The record means the on-disk bytes already hold exactly this
+            // slot's content: the slot opens *clean*, so a later
+            // incremental commit reuses the file untouched.
+            referenced.insert(record.name.clone());
             let slot = Slot {
                 source: Some(source),
-                persisted,
+                persisted: Some(record.clone()),
             };
             match fref.orientation {
                 Orientation::Backward => backward = slot,
@@ -1203,8 +1161,7 @@ fn open_impl(dir: &Path, lazy: bool) -> Result<StorageManager> {
     }
 
     // Bind the manager to this directory so the next commit into it is
-    // incremental (v1 catalogs bind at generation 0; every slot above
-    // opened dirty, so the first commit rewrites them as v2).
+    // incremental.
     let binding = super::PersistBinding {
         dir: dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf()),
         gzip: catalog.gzip,
@@ -1252,7 +1209,7 @@ pub fn open_as_of(dir: &Path, generation: u64) -> Result<StorageManager> {
     // the generation's files, instead of erroring mid-load.
     for entry in &catalog.edges {
         for fref in &entry.files {
-            if !dir.join(&fref.name).is_file() {
+            if !dir.join(&fref.record.name).is_file() {
                 return Err(DslogError::GenerationNotRetained(generation));
             }
         }
@@ -1273,8 +1230,7 @@ pub fn open(dir: &Path) -> Result<StorageManager> {
 
 /// Open a database directory in O(catalog): table files are only stat'd
 /// (existence + length) now and read, checksum-verified, and decoded on
-/// the first `resolve_hop` that needs them. Directories written by the v1
-/// code (no recorded checksums) fall back to an eager open.
+/// the first `resolve_hop` that needs them.
 pub fn open_lazy(dir: &Path) -> Result<StorageManager> {
     open_impl(dir, true)
 }
@@ -1282,7 +1238,7 @@ pub fn open_lazy(dir: &Path) -> Result<StorageManager> {
 /// What [`verify`] found in a healthy database directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Catalog format version (1, 2, or 3).
+    /// Catalog format version (2 or 3).
     pub catalog_version: u8,
     /// Whether table files use the gzip disk format.
     pub gzip: bool,
@@ -1311,7 +1267,7 @@ pub struct VerifyReport {
 
 /// Walk a database directory and validate everything the catalog claims:
 /// every referenced table file (or segment range) exists, matches its
-/// recorded byte length and crc32 (v2+), decodes structurally, and stores
+/// recorded byte length and crc32, decodes structurally, and stores
 /// the orientation the catalog says — fanned across the same scoped thread
 /// pool as [`open`]. Compaction manifests of generations the catalog's
 /// segments belong to are decoded and cross-checked too. Returns a report
@@ -1330,7 +1286,10 @@ pub fn verify(dir: &Path) -> Result<VerifyReport> {
         .collect();
     let files_verified = jobs.len();
     load_tables_sharded(dir, &catalog, &jobs)?;
-    let referenced: HashSet<&str> = jobs.iter().map(|(_, fref)| fref.name.as_str()).collect();
+    let referenced: HashSet<&str> = jobs
+        .iter()
+        .map(|(_, fref)| fref.record.name.as_str())
+        .collect();
 
     // Every manifest whose generation a referenced segment belongs to must
     // decode, and its recorded ranges must agree with the live catalog's.
@@ -1699,17 +1658,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every file in `dir` with its bytes, sorted by name.
+    fn dir_contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        dir_listing(dir)
+            .into_iter()
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(&name)).unwrap();
+                (name, bytes)
+            })
+            .collect()
+    }
+
     #[test]
-    fn v1_directory_still_opens() {
+    fn v1_directory_is_rejected_untouched() {
         // Hand-write a v1 database (old catalog magic, un-checksummed v1
-        // table bytes, legacy file names) and check both open paths and
-        // verify still accept it.
+        // table bytes, legacy file names): every open path and verify must
+        // refuse it by name, and leave every file exactly as it was.
         let dir = temp_dir("v1compat");
         std::fs::create_dir_all(&dir).unwrap();
         let s = sample_manager();
 
         let mut catalog = Vec::new();
-        catalog.extend_from_slice(CATALOG_MAGIC_V1);
+        catalog.extend_from_slice(b"DSLGDB1\0");
         catalog.push(0); // plain
         let names = s.array_names();
         write_uvarint(&mut catalog, names.len() as u64);
@@ -1730,32 +1700,23 @@ mod tests {
             write_string(&mut catalog, &key.1);
             catalog.push(1); // backward only
             let table = edge.stored(Orientation::Backward, false).unwrap().unwrap();
-            std::fs::write(
-                dir.join(edge_file_name_v1(idx, Orientation::Backward, false)),
-                format::serialize_v1(&table),
-            )
-            .unwrap();
+            // A v1 table is the v2 body with version byte 1 and no trailer.
+            let mut v1 = format::serialize(&table);
+            v1.truncate(v1.len() - 4);
+            v1[4] = 1;
+            std::fs::write(dir.join(format!("edge-{idx}-b.tbl")), v1).unwrap();
         }
         std::fs::write(dir.join(CATALOG_FILE), catalog).unwrap();
+        let before = dir_contents(&dir);
+        assert_eq!(before.len(), 3);
 
-        for opened in [open(&dir).unwrap(), open_lazy(&dir).unwrap()] {
-            assert_eq!(opened.n_edges(), 2);
-            let t = opened
-                .stored_table("A", "B", Orientation::Backward)
-                .unwrap();
-            let orig = s.stored_table("A", "B", Orientation::Backward).unwrap();
-            assert_eq!(*t, *orig);
-        }
-        let report = verify(&dir).unwrap();
-        assert_eq!(report.catalog_version, 1);
-        assert_eq!(report.files_verified, 2);
-
-        // Saving over the v1 directory upgrades it to v2 and sweeps the
-        // legacy file names.
-        save(&s, &dir, false).unwrap();
-        let report = verify(&dir).unwrap();
-        assert_eq!(report.catalog_version, 2);
-        assert!(report.stale_files.is_empty());
+        let refused = Some(DslogError::Corrupt(
+            "catalog version 1 is no longer supported",
+        ));
+        assert_eq!(open(&dir).err(), refused);
+        assert_eq!(open_lazy(&dir).err(), refused);
+        assert_eq!(verify(&dir).err(), refused);
+        assert_eq!(dir_contents(&dir), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2048,7 +2009,7 @@ mod tests {
         let mut names: Vec<String> = catalog
             .edges
             .iter()
-            .flat_map(|e| e.files.iter().map(|f| f.name.clone()))
+            .flat_map(|e| e.files.iter().map(|f| f.record.name.clone()))
             .collect();
         names.sort();
         names

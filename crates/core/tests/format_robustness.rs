@@ -7,6 +7,7 @@ use dslog::interval::Interval;
 use dslog::provrc;
 use dslog::storage::format;
 use dslog::table::{Cell, CompressedTable, LineageTable, Orientation};
+use dslog_codecs::crc32::crc32;
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary *valid* compressed table, built by compressing a
@@ -40,16 +41,13 @@ fn symbolic_table() -> CompressedTable {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Plain and gzip serialization roundtrip exactly, and legacy v1 bytes
-    /// (no checksum trailer) still parse to the same table.
+    /// Plain and gzip serialization roundtrip exactly.
     #[test]
     fn roundtrip_exact(table in arb_compressed()) {
         let bytes = format::serialize(&table);
         prop_assert_eq!(&format::deserialize(&bytes).unwrap(), &table);
         let gz = format::serialize_gzip(&table);
         prop_assert_eq!(&format::deserialize_gzip(&gz).unwrap(), &table);
-        let v1 = format::serialize_v1(&table);
-        prop_assert_eq!(&format::deserialize(&v1).unwrap(), &table);
     }
 
     /// Truncation at any point errors, never panics.
@@ -76,17 +74,16 @@ proptest! {
         prop_assert!(format::deserialize(&bytes).is_err(), "flip at {i} accepted");
     }
 
-    /// Legacy v1 files have no checksum: a flipped byte there either errors
-    /// or yields a structurally sane table (never a panic, never a
-    /// mis-shaped one).
+    /// Past the checksum, the decoder itself must hold: a body bit flip
+    /// under a recomputed crc trailer either errors or yields a
+    /// structurally sane table (never a panic, never a mis-shaped one).
     #[test]
-    fn v1_bitflip_never_panics(table in arb_compressed(), pos in any::<prop::sample::Index>(), bit in 0u8..8) {
-        let mut bytes = format::serialize_v1(&table);
-        if bytes.is_empty() {
-            return Ok(());
-        }
+    fn rechecksummed_bitflip_never_panics(table in arb_compressed(), pos in any::<prop::sample::Index>(), bit in 0u8..8) {
+        let mut bytes = format::serialize(&table);
+        bytes.truncate(bytes.len() - 4);
         let i = pos.index(bytes.len());
         bytes[i] ^= 1 << bit;
+        bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
         if let Ok(parsed) = format::deserialize(&bytes) {
             // Structural sanity on whatever parsed.
             prop_assert_eq!(parsed.arity(), parsed.primary_arity() + parsed.secondary_arity());

@@ -125,13 +125,13 @@ proptest! {
         if name == "ops.log" {
             // Damage is confined to the log: open must succeed, truncate
             // the damaged tail, and leave a verify-clean store behind.
-            let db = Dslog::open(&dir).unwrap();
+            let db = Dslog::options().open(&dir).unwrap();
             let r = db.prov_query(&["B", "A"], &[vec![1]]).unwrap();
             prop_assert!(r.cells.contains_cell(&[1, 0]));
             prop_assert!(persist::verify(&dir).is_ok(), "{name} byte {i} broke verify");
         } else {
-            prop_assert!(Dslog::open(&dir).is_err(), "{name} byte {i} accepted");
-            let lazily = Dslog::open_lazy(&dir)
+            prop_assert!(Dslog::options().open(&dir).is_err(), "{name} byte {i} accepted");
+            let lazily = Dslog::options().lazy(true).open(&dir)
                 .and_then(|db| db.prov_query(&["B", "A"], &[vec![1]]).map(drop));
             prop_assert!(lazily.is_err(), "{name} byte {i} accepted lazily");
         }
@@ -178,7 +178,7 @@ proptest! {
         for (name, bytes) in &committed {
             prop_assert_eq!(&std::fs::read(dir.join(name)).unwrap(), bytes, "{} clobbered", name);
         }
-        let reopened = Dslog::open(&dir).unwrap();
+        let reopened = Dslog::options().open(&dir).unwrap();
         let r = reopened.prov_query(&["B", "A"], &[vec![1]]).unwrap();
         prop_assert!(r.cells.contains_cell(&[1, 0]));
         prop_assert!(r.cells.contains_cell(&[1, 1]));
@@ -215,8 +215,8 @@ fn open_on_random_catalog_bytes_errors() {
         Vec::new(),
     ] {
         std::fs::write(dir.join("catalog.dsl"), &bytes).unwrap();
-        assert!(Dslog::open(&dir).is_err());
-        assert!(Dslog::open_lazy(&dir).is_err());
+        assert!(Dslog::options().open(&dir).is_err());
+        assert!(Dslog::options().lazy(true).open(&dir).is_err());
         assert!(persist::verify(&dir).is_err());
     }
     std::fs::remove_dir_all(&dir).unwrap();

@@ -102,7 +102,8 @@ fn kill_point_sweep_leaves_store_openable() {
                 drop(db);
 
                 // The wounded store opens, verifies, and answers queries.
-                let re = Dslog::open(&dir)
+                let re = Dslog::options()
+                    .open(&dir)
                     .unwrap_or_else(|e| panic!("{fault:?} at IO {n} broke open: {e}"));
                 persist::verify(&dir)
                     .unwrap_or_else(|e| panic!("{fault:?} at IO {n} broke verify: {e}"));
@@ -148,7 +149,7 @@ fn failed_commit_retries_cleanly() {
         let committed = db.bound_database().unwrap().2;
         assert!(committed >= 2, "retry landed at generation {committed}");
 
-        let re = Dslog::open(&dir).unwrap();
+        let re = Dslog::options().open(&dir).unwrap();
         let r = re.prov_query(&["C", "B"], &[vec![1]]).unwrap();
         assert!(r.cells.contains_cell(&[1]));
         persist::verify(&dir).unwrap();
@@ -200,9 +201,11 @@ fn as_of_parity_with_snapshot_copies() {
             &["E", "D", "C", "B", "A"],
         ];
         for g in 1..=4u64 {
-            let asof = Dslog::open_as_of(&dir, g)
+            let asof = Dslog::options()
+                .as_of(g)
+                .open(&dir)
                 .unwrap_or_else(|e| panic!("as-of {g} (gzip={gzip}) failed: {e}"));
-            let snap = Dslog::open(&snaps[(g - 1) as usize]).unwrap();
+            let snap = Dslog::options().open(&snaps[(g - 1) as usize]).unwrap();
             for path in &chains[..g as usize] {
                 for probe in [1i64, 3] {
                     let a = asof.prov_query(path, &[vec![probe]]).unwrap();
@@ -219,7 +222,7 @@ fn as_of_parity_with_snapshot_copies() {
                 assert!(asof.prov_query(chains[g as usize], &[vec![1]]).is_err());
             }
         }
-        assert!(Dslog::open_as_of(&dir, 99).is_err());
+        assert!(Dslog::options().as_of(99).open(&dir).is_err());
 
         for snap in &snaps {
             std::fs::remove_dir_all(snap).unwrap();
@@ -290,7 +293,7 @@ fn torn_log_tail_truncated_on_reopen() {
     std::fs::write(&log_path, &torn).unwrap();
 
     // Open recovers: the tail is dropped and physically truncated.
-    let mut re = Dslog::open(&dir).unwrap();
+    let mut re = Dslog::options().open(&dir).unwrap();
     assert_eq!(wal::history(&dir).unwrap(), before);
     assert_eq!(std::fs::read(&log_path).unwrap(), clean);
     persist::verify(&dir).unwrap();

@@ -16,17 +16,21 @@
 //! issuing `queries` two-hop backward queries; the "ingest" phase runs a
 //! background driver that keeps installing fresh scatter edges through
 //! [`DslogService::ingest_batch`] with periodic commits while the same
-//! query load repeats.
+//! query load repeats. Each phase runs two such waves and pools their
+//! samples; every percentile is reported with the sample count behind
+//! it (`*_samples`, and `*_p99_beyond`: samples above the p99).
 //!
 //! Emits an aligned table on stdout and machine-readable
-//! `BENCH_serve.json` in the working directory.
+//! `BENCH_serve.json` (with `nproc` and `scale`) in the working
+//! directory. A p99 means something only with at least 10 samples beyond
+//! it, which takes `--scale 0.3` or more.
 //!
 //! Run: `cargo run -p dslog-bench --release --bin serve_scaling [--scale f]`
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::net::{NetServer, ServeOptions};
 use dslog::service::{AutoCommitPolicy, DslogService, IngestJob};
-use dslog_bench::{cli_scale_seed, percentile, secs, TextTable};
+use dslog_bench::{cli_scale_seed, percentile, samples_beyond, secs, TextTable};
 use dslog_workloads::edges;
 use std::fmt::Write as _;
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -40,17 +44,34 @@ const CHAIN: usize = 5;
 struct Point {
     clients: usize,
     queries_per_client: usize,
-    idle_p50_s: f64,
-    idle_p99_s: f64,
-    ingest_p50_s: f64,
-    ingest_p99_s: f64,
+    idle: Latency,
+    ingest: Latency,
     ingested_edges: u64,
     commits: u64,
 }
 
+/// One phase's pooled client-observed latencies.
+struct Latency {
+    samples: usize,
+    p50_s: f64,
+    p99_s: f64,
+    p99_beyond: usize,
+}
+
+impl Latency {
+    fn of(mut samples: Vec<f64>) -> Self {
+        Self {
+            samples: samples.len(),
+            p50_s: percentile(&mut samples, 50.0),
+            p99_s: percentile(&mut samples, 99.0),
+            p99_beyond: samples_beyond(samples.len(), 99.0),
+        }
+    }
+}
+
 impl Point {
     fn p99_ratio(&self) -> f64 {
-        self.ingest_p99_s / self.idle_p99_s.max(1e-12)
+        self.ingest.p99_s / self.idle.p99_s.max(1e-12)
     }
 }
 
@@ -99,21 +120,16 @@ fn measure(
     rows_per_edge: usize,
     cells: i64,
 ) -> Point {
-    // Each phase runs two waves and keeps the better tail: on a shared
-    // (or single-core) host, one unlucky scheduler quantum otherwise
-    // decides the whole p99 column.
-    let best_wave = |run: &mut dyn FnMut() -> Vec<f64>| -> (Vec<f64>, f64) {
-        let (mut a, mut b) = (run(), run());
-        let (pa, pb) = (percentile(&mut a, 99.0), percentile(&mut b, 99.0));
-        if pa <= pb {
-            (a, pa)
-        } else {
-            (b, pb)
-        }
+    // Each phase pools two waves, so its tail has twice the samples; no
+    // wave is discarded for being unlucky.
+    let pooled_waves = || {
+        let mut samples = query_wave(addr, clients, queries, cells);
+        samples.extend(query_wave(addr, clients, queries, cells));
+        Latency::of(samples)
     };
 
     // Idle phase: nothing else is touching the service.
-    let (mut idle, idle_p99) = best_wave(&mut || query_wave(addr, clients, queries, cells));
+    let idle = pooled_waves();
 
     // Ingest phase: a background driver saturates the write path —
     // compress + install fresh scatter edges in batches, committing every
@@ -153,8 +169,7 @@ fn measure(
             }
         })
     };
-    let (mut under_ingest, ingest_p99) =
-        best_wave(&mut || query_wave(addr, clients, queries, cells));
+    let ingest = pooled_waves();
     stop.store(true, Ordering::Release);
     driver.join().expect("ingest driver");
     let stats = service.stats();
@@ -162,10 +177,8 @@ fn measure(
     Point {
         clients,
         queries_per_client: queries,
-        idle_p50_s: percentile(&mut idle, 50.0),
-        idle_p99_s: idle_p99,
-        ingest_p50_s: percentile(&mut under_ingest, 50.0),
-        ingest_p99_s: ingest_p99,
+        idle,
+        ingest,
         ingested_edges: ingested.load(Ordering::Relaxed),
         commits: stats.commits,
     }
@@ -212,9 +225,12 @@ fn main() {
     .expect("spawn server");
     let addr = server.local_addr();
 
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut table = TextTable::new(&[
         "clients",
         "queries",
+        "samples",
+        "p99 beyond",
         "idle p50",
         "idle p99",
         "ingest p50",
@@ -229,10 +245,12 @@ fn main() {
         table.row(&[
             pt.clients.to_string(),
             (pt.clients * pt.queries_per_client).to_string(),
-            secs(pt.idle_p50_s),
-            secs(pt.idle_p99_s),
-            secs(pt.ingest_p50_s),
-            secs(pt.ingest_p99_s),
+            pt.idle.samples.to_string(),
+            pt.idle.p99_beyond.to_string(),
+            secs(pt.idle.p50_s),
+            secs(pt.idle.p99_s),
+            secs(pt.ingest.p50_s),
+            secs(pt.ingest.p99_s),
             format!("{:.2}x", pt.p99_ratio()),
             pt.ingested_edges.to_string(),
             pt.commits.to_string(),
@@ -242,15 +260,20 @@ fn main() {
         }
         write!(
             json_rows,
-            "{{\"clients\":{},\"queries\":{},\"idle_p50_s\":{:.9},\"idle_p99_s\":{:.9},\
-             \"ingest_p50_s\":{:.9},\"ingest_p99_s\":{:.9},\"p99_ratio\":{:.3},\
-             \"ingested_edges\":{},\"commits\":{}}}",
+            "{{\"clients\":{},\"queries\":{},\"idle_samples\":{},\"idle_p99_beyond\":{},\
+             \"idle_p50_s\":{:.9},\"idle_p99_s\":{:.9},\"ingest_samples\":{},\
+             \"ingest_p99_beyond\":{},\"ingest_p50_s\":{:.9},\"ingest_p99_s\":{:.9},\
+             \"p99_ratio\":{:.3},\"ingested_edges\":{},\"commits\":{}}}",
             pt.clients,
             pt.clients * pt.queries_per_client,
-            pt.idle_p50_s,
-            pt.idle_p99_s,
-            pt.ingest_p50_s,
-            pt.ingest_p99_s,
+            pt.idle.samples,
+            pt.idle.p99_beyond,
+            pt.idle.p50_s,
+            pt.idle.p99_s,
+            pt.ingest.samples,
+            pt.ingest.p99_beyond,
+            pt.ingest.p50_s,
+            pt.ingest.p99_s,
             pt.p99_ratio(),
             pt.ingested_edges,
             pt.commits
@@ -267,8 +290,8 @@ fn main() {
 
     println!("{}", table.render());
     let json = format!(
-        "{{\"bench\":\"serve_scaling\",\"scale\":{scale},\"rows_per_edge\":{rows_per_edge},\
-         \"edge\":\"scatter\",\"series\":[{json_rows}]}}\n"
+        "{{\"bench\":\"serve_scaling\",\"nproc\":{nproc},\"scale\":{scale},\
+         \"rows_per_edge\":{rows_per_edge},\"edge\":\"scatter\",\"series\":[{json_rows}]}}\n"
     );
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     println!("wrote BENCH_serve.json");

@@ -54,6 +54,13 @@ pub fn percentile(samples: &mut [f64], q: f64) -> f64 {
     samples[rank.saturating_sub(1).min(samples.len() - 1)]
 }
 
+/// How many of `n` samples lie beyond the nearest-rank `q`-th percentile
+/// that [`percentile`] reports: the sample count a tail figure rests on.
+pub fn samples_beyond(n: usize, q: f64) -> usize {
+    let rank = (q / 100.0 * n as f64).ceil() as usize;
+    n.saturating_sub(rank.max(1))
+}
+
 /// Format a byte count as MB with sensible precision.
 pub fn mb(bytes: usize) -> String {
     let v = bytes as f64 / 1_048_576.0;
@@ -197,6 +204,16 @@ mod tests {
         assert_eq!(percentile(&mut s, 0.0), 1.0);
         assert_eq!(percentile(&mut s, 100.0), 5.0);
         assert_eq!(p50(&mut [7.0]), 7.0);
+    }
+
+    #[test]
+    fn samples_beyond_matches_the_nearest_rank() {
+        assert_eq!(samples_beyond(5, 99.0), 0);
+        assert_eq!(samples_beyond(5, 50.0), 2);
+        assert_eq!(samples_beyond(200, 99.0), 2);
+        assert_eq!(samples_beyond(2000, 99.0), 20);
+        assert_eq!(samples_beyond(1, 0.0), 0);
+        assert_eq!(samples_beyond(0, 99.0), 0);
     }
 
     #[test]

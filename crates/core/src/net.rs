@@ -45,6 +45,16 @@
 //! disabled. Responses without the `stats` word are byte-identical to the
 //! previous protocol version.
 //!
+//! ## Framing
+//!
+//! Every response is exactly one line: the JSON object, then a single
+//! `'\n'`, with no other newline inside it (strings are escaped). A
+//! session renders each response into one buffer it reuses across
+//! requests and hands the whole line to the socket in **one write**.
+//! With `TCP_NODELAY` set, a response normally leaves as one segment, so
+//! a client's line read wakes once per response rather than once for the
+//! JSON and again for a lone newline.
+//!
 //! ## Admission control and backpressure
 //!
 //! The server runs a **bounded worker pool** ([`ServeOptions::workers`]
@@ -55,10 +65,10 @@
 //! of piling up. Per-session limits keep one misbehaving client from
 //! starving the rest:
 //!
-//! - request lines are capped at [`ServeOptions::max_line_bytes`] — an
-//!   oversized frame gets one error response and the connection is
-//!   closed (the byte-budget discipline of the persistence layer's
-//!   hostile-input handling, applied to the wire);
+//! - request lines are capped at [`ServeOptions::max_line_bytes`], newline
+//!   included — an oversized frame gets one error response and the
+//!   connection is closed (the byte-budget discipline of the persistence
+//!   layer's hostile-input handling, applied to the wire);
 //! - responses are written under [`ServeOptions::write_timeout`] — a
 //!   reader that stops draining its socket is disconnected, not buffered
 //!   for;
@@ -96,6 +106,7 @@ use crate::storage::persist::CommitReport;
 use crate::table::LineageTable;
 use dslog_sync::{ranks, Condvar, Mutex};
 use std::collections::VecDeque;
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -171,6 +182,21 @@ struct NetShared {
 }
 
 impl NetShared {
+    fn new(service: Arc<DslogService>, opts: ServeOptions) -> Self {
+        Self {
+            service,
+            opts,
+            queue: Mutex::new(&ranks::NET_QUEUE, VecDeque::new()),
+            queue_cv: Condvar::new(),
+            busy: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            rejected_busy: AtomicU64::new(0),
+            oversized_frames: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+        }
+    }
+
     fn stats(&self) -> NetStats {
         NetStats {
             accepted: self.accepted.load(Ordering::Relaxed),
@@ -206,18 +232,7 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| crate::error::DslogError::io("resolve bound address", e))?;
-        let shared = Arc::new(NetShared {
-            service,
-            opts,
-            queue: Mutex::new(&ranks::NET_QUEUE, VecDeque::new()),
-            queue_cv: Condvar::new(),
-            busy: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            accepted: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
-            oversized_frames: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-        });
+        let shared = Arc::new(NetShared::new(service, opts));
         // Sanctioned worker pool (see lint-allow.txt): every handle is
         // joined by NetServer::join/Drop. A failed spawn (thread limit,
         // OOM) aborts startup cleanly — already-started workers see the
@@ -407,31 +422,48 @@ fn serve_session(stream: TcpStream, shared: &NetShared) -> std::io::Result<()> {
     stream.set_read_timeout(Some(shared.opts.poll_interval))?;
     stream.set_write_timeout(Some(shared.opts.write_timeout))?;
     stream.set_nodelay(true).ok(); // request/response; don't batch
-    let mut writer = stream.try_clone()?;
+    let mut out = Responder::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
+    if let SessionFlow::StopServer = run_session(&mut reader, &mut out, shared, &actor)? {
+        request_stop(shared, reader.get_ref().local_addr()?);
+    }
+    Ok(())
+}
+
+/// The session loop proper, over any line source and response sink.
+/// Returns how the session ended: [`SessionFlow::StopServer`] after a
+/// `shutdown` request, [`SessionFlow::CloseSession`] otherwise.
+fn run_session<R: BufRead, W: Write>(
+    reader: &mut R,
+    out: &mut Responder<W>,
+    shared: &NetShared,
+    actor: &str,
+) -> std::io::Result<SessionFlow> {
     let mut line = Vec::new();
     loop {
         line.clear();
-        match read_line_bounded(&mut reader, shared.opts.max_line_bytes, &mut line) {
-            Ok(LineRead::Eof) => return Ok(()),
-            Ok(LineRead::TimedOut) => {
+        match read_line_bounded(reader, shared.opts.max_line_bytes, &mut line)? {
+            LineRead::Eof => return Ok(SessionFlow::CloseSession),
+            LineRead::TimedOut => {
                 if shared.stop.load(Ordering::Acquire) {
-                    return Ok(());
+                    return Ok(SessionFlow::CloseSession);
                 }
                 continue;
             }
-            Ok(LineRead::TooLong) => {
+            LineRead::TooLong => {
                 shared.oversized_frames.fetch_add(1, Ordering::Relaxed);
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                let msg = json_err(&format!(
-                    "request line exceeds {} bytes; closing connection",
-                    shared.opts.max_line_bytes
-                ));
-                let _ = writeln(&mut writer, &msg);
-                return Ok(()); // cannot resync mid-frame: drop the session
+                let max = shared.opts.max_line_bytes;
+                let _ = out.respond(|buf| {
+                    json_err(
+                        buf,
+                        &format!("request line exceeds {max} bytes; closing connection"),
+                    )
+                });
+                // Cannot resync mid-frame: drop the session.
+                return Ok(SessionFlow::CloseSession);
             }
-            Ok(LineRead::Line) => {}
-            Err(e) => return Err(e),
+            LineRead::Line => {}
         }
         let text = String::from_utf8_lossy(&line);
         let text = text.trim();
@@ -439,17 +471,43 @@ fn serve_session(stream: TcpStream, shared: &NetShared) -> std::io::Result<()> {
             continue;
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        let (response, flow) = execute(&shared.service, text, &actor);
-        writeln(&mut writer, &response)?;
-        match flow {
+        match out.respond(|buf| execute(&shared.service, text, actor, buf))? {
             SessionFlow::Continue => {}
-            SessionFlow::CloseSession => return Ok(()),
-            SessionFlow::StopServer => {
-                let addr = writer.local_addr()?;
-                request_stop(shared, addr);
-                return Ok(());
-            }
+            flow => return Ok(flow),
         }
+    }
+}
+
+/// A session's response sink. Every response is rendered into one buffer
+/// that lives as long as the session, gets its `'\n'`, and goes to the
+/// writer in a single `write_all`: one send per response, so the client's
+/// line read wakes once, with the whole line.
+struct Responder<W> {
+    out: W,
+    buf: String,
+}
+
+/// Buffer capacity a session keeps between responses; one huge response
+/// (a long `history`) does not pin its size for the session's lifetime.
+const RETAINED_RESPONSE_BYTES: usize = 64 << 10;
+
+impl<W: Write> Responder<W> {
+    fn new(out: W) -> Self {
+        Self {
+            out,
+            buf: String::new(),
+        }
+    }
+
+    /// Render one response with `render` and write it as one line.
+    fn respond<T>(&mut self, render: impl FnOnce(&mut String) -> T) -> std::io::Result<T> {
+        self.buf.clear();
+        let value = render(&mut self.buf);
+        self.buf.push('\n');
+        let written = self.out.write_all(self.buf.as_bytes());
+        self.buf.clear();
+        self.buf.shrink_to(RETAINED_RESPONSE_BYTES);
+        written.map(|()| value)
     }
 }
 
@@ -460,17 +518,19 @@ enum LineRead {
     TimedOut,
 }
 
-/// Read one `\n`-terminated line into `buf`, never retaining more than
-/// `max` bytes. A frame that hits the cap reports [`LineRead::TooLong`]
+/// Read one `\n`-terminated line into `buf` (newline stripped), never
+/// retaining more than `max - 1` bytes: `max` caps the frame *including*
+/// its newline. A frame that hits the cap reports [`LineRead::TooLong`]
 /// without waiting for its newline (the overflow is left unread — the
 /// caller closes the connection). A read timeout with NO partial data is
 /// a poll tick; mid-line timeouts keep waiting so slow-but-live writers
 /// aren't corrupted by the poll interval.
-fn read_line_bounded(
-    reader: &mut BufReader<TcpStream>,
+fn read_line_bounded<R: BufRead>(
+    reader: &mut R,
     max: usize,
     buf: &mut Vec<u8>,
 ) -> std::io::Result<LineRead> {
+    let max_content = max.saturating_sub(1);
     loop {
         let chunk = match reader.fill_buf() {
             Ok(chunk) => chunk,
@@ -490,88 +550,92 @@ fn read_line_bounded(
                 LineRead::Line // unterminated final line
             });
         }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if buf.len() + pos > max {
-                    return Ok(LineRead::TooLong);
-                }
-                buf.extend_from_slice(&chunk[..pos]);
-                reader.consume(pos + 1);
-                return Ok(LineRead::Line);
-            }
-            None => {
-                let take = chunk.len();
-                if buf.len() + take > max {
-                    return Ok(LineRead::TooLong);
-                }
-                buf.extend_from_slice(chunk);
-                reader.consume(take);
-            }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        if buf.len() + take > max_content {
+            return Ok(LineRead::TooLong);
+        }
+        buf.extend_from_slice(&chunk[..take]);
+        reader.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            return Ok(LineRead::Line);
         }
     }
 }
 
-fn writeln(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-/// Execute one request line against the service. Always returns a
-/// response (success or error JSON) plus what the session does next.
-/// Mutating commands install `actor` as the operation-log attribution
-/// before they run (last writer wins across concurrent sessions — the
-/// label is advisory, not a serialization point).
-fn execute(service: &DslogService, line: &str, actor: &str) -> (String, SessionFlow) {
+/// Execute one request line against the service, rendering the response
+/// (success or error JSON, no newline) into `out`, and return what the
+/// session does next. Mutating commands install `actor` as the
+/// operation-log attribution before they run (last writer wins across
+/// concurrent sessions — the label is advisory, not a serialization
+/// point).
+fn execute(service: &DslogService, line: &str, actor: &str, out: &mut String) -> SessionFlow {
     let mut parts = line.split_whitespace();
     let cmd = parts.next().unwrap_or_default();
     let args: Vec<&str> = parts.collect();
     if matches!(cmd, "define" | "ingest" | "commit") {
         service.set_actor(actor);
     }
-    let response = match (cmd, args.as_slice()) {
-        ("define", [spec]) => cmd_define(service, spec),
-        ("ingest", [in_name, out_name, rows]) => cmd_ingest(service, in_name, out_name, rows),
-        ("query", [path, cells]) => cmd_query(service, path, cells, false),
-        ("query", [path, cells, "stats"]) => cmd_query(service, path, cells, true),
-        ("query_batch", [path, queries]) => cmd_query_batch(service, path, queries, false),
-        ("query_batch", [path, queries, "stats"]) => cmd_query_batch(service, path, queries, true),
-        ("commit", []) => cmd_commit(service),
-        ("stats", []) => Ok(render_stats(&service.stats())),
-        ("history", []) => cmd_history(service),
+    let start = out.len();
+    let outcome = match (cmd, args.as_slice()) {
+        ("define", [spec]) => cmd_define(service, spec, out),
+        ("ingest", [in_name, out_name, rows]) => {
+            cmd_ingest(service, in_name, out_name, rows, out)
+        }
+        ("query", [path, cells]) => cmd_query(service, path, cells, false, out),
+        ("query", [path, cells, "stats"]) => cmd_query(service, path, cells, true, out),
+        ("query_batch", [path, queries]) => cmd_query_batch(service, path, queries, false, out),
+        ("query_batch", [path, queries, "stats"]) => {
+            cmd_query_batch(service, path, queries, true, out)
+        }
+        ("commit", []) => cmd_commit(service, out),
+        ("stats", []) => {
+            render_stats(out, &service.stats());
+            Ok(())
+        }
+        ("history", []) => cmd_history(service, out),
         ("quit" | "exit", []) => {
-            return (
-                "{\"ok\":true,\"closing\":\"session\"}".to_string(),
-                SessionFlow::CloseSession,
-            )
+            out.push_str("{\"ok\":true,\"closing\":\"session\"}");
+            return SessionFlow::CloseSession;
         }
         ("shutdown", []) => {
-            return (
-                "{\"ok\":true,\"closing\":\"server\"}".to_string(),
-                SessionFlow::StopServer,
-            )
+            out.push_str("{\"ok\":true,\"closing\":\"server\"}");
+            return SessionFlow::StopServer;
         }
         _ => Err(format!(
             "bad request `{line}`; expected define/ingest/query/query_batch/commit/stats/history/quit/shutdown"
         )),
     };
-    (
-        response.unwrap_or_else(|e| json_err(&e)),
-        SessionFlow::Continue,
-    )
+    if let Err(e) = outcome {
+        out.truncate(start); // drop anything rendered before the failure
+        json_err(out, &e);
+    }
+    SessionFlow::Continue
 }
 
-fn cmd_define(service: &DslogService, spec: &str) -> std::result::Result<String, String> {
+// The `cmd_*` and `render_*` helpers append to `out`; a failing command's
+// partial output is dropped by `execute`. `write!` into a `String` cannot
+// fail, so its `fmt::Result` is ignored throughout.
+
+fn cmd_define(
+    service: &DslogService,
+    spec: &str,
+    out: &mut String,
+) -> std::result::Result<(), String> {
     let (name, shape) = parse_array_spec(spec)?;
     service
         .define_array(&name, &shape)
         .map_err(|e| e.to_string())?;
-    let dims: Vec<String> = shape.iter().map(usize::to_string).collect();
-    Ok(format!(
-        "{{\"ok\":true,\"defined\":{},\"shape\":[{}]}}",
-        json_str(&name),
-        dims.join(",")
-    ))
+    let _ = write!(
+        out,
+        "{{\"ok\":true,\"defined\":{},\"shape\":",
+        JsonStr(&name)
+    );
+    push_array(out, &shape, |out, d| {
+        let _ = write!(out, "{d}");
+    });
+    out.push('}');
+    Ok(())
 }
 
 fn cmd_ingest(
@@ -579,7 +643,8 @@ fn cmd_ingest(
     in_name: &str,
     out_name: &str,
     rows: &str,
-) -> std::result::Result<String, String> {
+    out: &mut String,
+) -> std::result::Result<(), String> {
     let (in_shape, out_shape) = service
         .with_db(|db| {
             Ok::<_, crate::error::DslogError>((
@@ -592,7 +657,8 @@ fn cmd_ingest(
     let report = service
         .ingest_batch(vec![IngestJob::new(in_name, out_name, table)])
         .map_err(|e| e.to_string())?;
-    Ok(render_batch(&report))
+    render_batch(out, &report);
+    Ok(())
 }
 
 fn cmd_query(
@@ -600,25 +666,27 @@ fn cmd_query(
     path_spec: &str,
     cells_spec: &str,
     with_stats: bool,
-) -> std::result::Result<String, String> {
+    out: &mut String,
+) -> std::result::Result<(), String> {
     let path: Vec<&str> = path_spec.split(',').map(str::trim).collect();
     let cells = parse_cells(cells_spec)?;
     if cells.is_empty() {
         return Err("no query cells given".to_string());
     }
     let result = service.query(&path, &cells).map_err(|e| e.to_string())?;
-    let mut out = format!(
+    let _ = write!(
+        out,
         "{{\"ok\":true,\"hops\":{},\"cells\":{},\"boxes\":",
         result.hops,
         result.cells.volume()
     );
-    render_boxes(&mut out, &result);
+    render_boxes(out, &result);
     if with_stats {
         out.push_str(",\"stats\":");
-        out.push_str(&render_query_stats(&result.stats));
+        render_query_stats(out, &result.stats);
     }
     out.push('}');
-    Ok(out)
+    Ok(())
 }
 
 fn cmd_query_batch(
@@ -626,7 +694,8 @@ fn cmd_query_batch(
     path_spec: &str,
     queries_spec: &str,
     with_stats: bool,
-) -> std::result::Result<String, String> {
+    out: &mut String,
+) -> std::result::Result<(), String> {
     let path: Vec<&str> = path_spec.split(',').map(str::trim).collect();
     let mut queries = Vec::new();
     for spec in queries_spec.split('|') {
@@ -644,98 +713,99 @@ fn cmd_query_batch(
         .map_err(|e| e.to_string())?;
     // All batch members share one sweep, so hops/stats are batch-wide.
     let hops = results.first().map_or(0, |r| r.hops);
-    let mut out = format!("{{\"ok\":true,\"hops\":{hops},\"results\":[");
-    for (i, result) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"cells\":{},\"boxes\":", result.cells.volume()));
-        render_boxes(&mut out, result);
+    let _ = write!(out, "{{\"ok\":true,\"hops\":{hops},\"results\":");
+    push_array(out, &results, |out, result| {
+        let _ = write!(out, "{{\"cells\":{},\"boxes\":", result.cells.volume());
+        render_boxes(out, result);
         out.push('}');
-    }
-    out.push(']');
+    });
     if with_stats {
         out.push_str(",\"stats\":");
-        out.push_str(&render_query_stats(
+        render_query_stats(
+            out,
             results.first().map_or(&QueryStats::default(), |r| &r.stats),
-        ));
+        );
     }
     out.push('}');
-    Ok(out)
+    Ok(())
 }
 
-/// Append `[[[lo,hi],...],...]` for the result's box set.
-fn render_boxes(out: &mut String, result: &QueryResult) {
-    out.push('[');
-    for (i, b) in result.cells.boxes().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, ivl) in b.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{}]", ivl.lo, ivl.hi));
-        }
-        out.push(']');
-    }
-    out.push(']');
-}
-
-/// The `"stats"` object for `query ... stats` / `query_batch ... stats`.
-fn render_query_stats(stats: &QueryStats) -> String {
-    let plan = stats.plan.as_ref().map_or("off", |p| p.decision.label());
-    let mut out = format!(
-        "{{\"rows_probed\":{},\"rows_matched\":{},\"plan\":{},\"hops\":[",
-        stats.hops.iter().map(|h| h.rows_probed).sum::<usize>(),
-        stats.hops.iter().map(|h| h.rows_matched).sum::<usize>(),
-        json_str(plan),
-    );
-    for (i, h) in stats.hops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"probed\":{},\"matched\":{},\"boxes\":{},\"indexed\":{},\"threads\":{}}}",
-            h.rows_probed, h.rows_matched, h.boxes_emitted, h.used_index, h.threads
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-fn cmd_commit(service: &DslogService) -> std::result::Result<String, String> {
+fn cmd_commit(service: &DslogService, out: &mut String) -> std::result::Result<(), String> {
     let report = service.commit().map_err(|e| e.to_string())?;
-    Ok(render_commit(&report))
+    render_commit(out, &report);
+    Ok(())
 }
 
 /// The bound directory's operation log, oldest record first.
-fn cmd_history(service: &DslogService) -> std::result::Result<String, String> {
+fn cmd_history(service: &DslogService, out: &mut String) -> std::result::Result<(), String> {
     let records = service.history().map_err(|e| e.to_string())?;
-    let mut out = format!("{{\"ok\":true,\"records\":{},\"log\":[", records.len());
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
+    let _ = write!(out, "{{\"ok\":true,\"records\":{},\"log\":", records.len());
+    push_array(out, &records, |out, r| {
+        let _ = write!(
+            out,
             "{{\"op\":{},\"timestamp_ms\":{},\"actor\":{},\"kind\":{},\"detail\":{},\
              \"gen_before\":{},\"gen_after\":{}}}",
             r.op_id,
             r.timestamp_ms,
-            json_str(&r.actor),
-            json_str(r.kind.name()),
-            json_str(&r.kind.describe()),
+            JsonStr(&r.actor),
+            JsonStr(r.kind.name()),
+            JsonStr(&r.kind.describe()),
             r.gen_before,
             r.gen_after
-        ));
-    }
-    out.push_str("]}");
-    Ok(out)
+        );
+    });
+    out.push('}');
+    Ok(())
 }
 
-fn render_commit(report: &CommitReport) -> String {
-    format!(
+/// Append `[item,item,...]`, each item rendered by `item`.
+fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+/// Append `[[[lo,hi],...],...]` for the result's box set.
+fn render_boxes(out: &mut String, result: &QueryResult) {
+    push_array(out, result.cells.boxes(), |out, b| {
+        push_array(out, b, |out, ivl| {
+            let _ = write!(out, "[{},{}]", ivl.lo, ivl.hi);
+        });
+    });
+}
+
+/// The `"stats"` object for `query ... stats` / `query_batch ... stats`.
+fn render_query_stats(out: &mut String, stats: &QueryStats) {
+    let plan = stats.plan.as_ref().map_or("off", |p| p.decision.label());
+    let _ = write!(
+        out,
+        "{{\"rows_probed\":{},\"rows_matched\":{},\"plan\":{},\"hops\":",
+        stats.hops.iter().map(|h| h.rows_probed).sum::<usize>(),
+        stats.hops.iter().map(|h| h.rows_matched).sum::<usize>(),
+        JsonStr(plan),
+    );
+    push_array(out, &stats.hops, |out, h| {
+        let _ = write!(
+            out,
+            "{{\"probed\":{},\"matched\":{},\"boxes\":{},\"indexed\":{},\"threads\":{}}}",
+            h.rows_probed, h.rows_matched, h.boxes_emitted, h.used_index, h.threads
+        );
+    });
+    out.push('}');
+}
+
+fn render_commit(out: &mut String, report: &CommitReport) {
+    let _ = write!(
+        out,
         "{{\"ok\":true,\"generation\":{},\"incremental\":{},\"files_written\":{},\
          \"files_reused\":{},\"bytes_written\":{}}}",
         report.generation,
@@ -743,36 +813,36 @@ fn render_commit(report: &CommitReport) -> String {
         report.files_written,
         report.files_reused,
         report.bytes_written
-    )
+    );
 }
 
-fn render_batch(report: &BatchReport) -> String {
-    let mut out = format!(
+fn render_batch(out: &mut String, report: &BatchReport) {
+    let _ = write!(
+        out,
         "{{\"ok\":true,\"edges\":{},\"rows\":{},\"pending_edges\":{}",
         report.edges, report.rows, report.pending_edges
     );
     match &report.auto_commit {
         Some(Ok(commit)) => {
             out.push_str(",\"auto_commit\":");
-            out.push_str(&render_commit(commit));
+            render_commit(out, commit);
         }
         Some(Err(e)) => {
-            out.push_str(",\"auto_commit\":{\"ok\":false,\"error\":");
-            out.push_str(&json_str(&e.to_string()));
-            out.push('}');
+            out.push_str(",\"auto_commit\":");
+            json_err(out, &e.to_string());
         }
         None => {}
     }
     out.push('}');
-    out
 }
 
-fn render_stats(s: &ServiceStats) -> String {
-    format!(
+fn render_stats(out: &mut String, s: &ServiceStats) {
+    let _ = write!(
+        out,
         "{{\"ok\":true,\"arrays\":{},\"edges\":{},\"pending_edges\":{},\"edges_ingested\":{},\
          \"queries\":{},\"commits\":{},\"auto_commits\":{},\"failed_commits\":{},\
          \"last_commit_error\":{},\"epoch\":{},\"generation\":{},\"compactions\":{},\
-         \"config\":{}}}",
+         \"config\":",
         s.arrays,
         s.edges,
         s.pending_edges,
@@ -781,29 +851,29 @@ fn render_stats(s: &ServiceStats) -> String {
         s.commits,
         s.auto_commits,
         s.failed_commits,
-        s.last_commit_error
-            .as_deref()
-            .map_or("null".to_string(), json_str),
+        OrNull(s.last_commit_error.as_deref().map(JsonStr)),
         s.epoch,
-        s.generation.map_or("null".to_string(), |g| g.to_string()),
+        OrNull(s.generation),
         s.compactions,
-        render_config(&s.config)
-    )
+    );
+    render_config(out, &s.config);
+    out.push('}');
 }
 
 /// The effective served-database configuration as a JSON object (the
 /// `"config"` field of a `stats` response).
-fn render_config(c: &crate::api::DslogConfig) -> String {
-    format!(
+fn render_config(out: &mut String, c: &crate::api::DslogConfig) {
+    let _ = write!(
+        out,
         "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\"wal_actor\":{},\"wal_retention\":{},\
          \"compress\":{{\"fast\":{},\"parallel\":{}}},\
          \"query\":{{\"merge\":{},\"use_index\":{},\"parallel\":{},\"use_planner\":{}}},\
          \"composite\":{{\"enabled\":{},\"hit_threshold\":{}}},\
          \"auto_compact_generations\":{}}}",
         c.lazy,
-        c.as_of.map_or("null".to_string(), |g| g.to_string()),
-        c.gzip.map_or("null".to_string(), |g| g.to_string()),
-        json_str(&c.wal_actor),
+        OrNull(c.as_of),
+        OrNull(c.gzip),
+        JsonStr(&c.wal_actor),
         c.wal_retention,
         c.compress.fast,
         c.compress.parallel,
@@ -813,34 +883,47 @@ fn render_config(c: &crate::api::DslogConfig) -> String {
         c.query.use_planner,
         c.composite_policy.enabled,
         c.composite_policy.hit_threshold,
-        c.maintenance
-            .auto_compact_generations
-            .map_or("null".to_string(), |g| g.to_string())
-    )
+        OrNull(c.maintenance.auto_compact_generations)
+    );
 }
 
-/// `{"ok":false,"error":...}` with the message JSON-escaped.
-fn json_err(message: &str) -> String {
-    format!("{{\"ok\":false,\"error\":{}}}", json_str(message))
+/// Append `{"ok":false,"error":...}` with the message JSON-escaped.
+fn json_err(out: &mut String, message: &str) {
+    let _ = write!(out, "{{\"ok\":false,\"error\":{}}}", JsonStr(message));
 }
 
-/// Minimal JSON string encoder (quotes, backslash, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Minimal JSON string encoder (quotes, backslash, control chars),
+/// formatted straight into the output.
+struct JsonStr<'a>(&'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
+}
+
+/// JSON `null` for `None`, the value itself otherwise.
+struct OrNull<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for OrNull<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("null"),
         }
     }
-    out.push('"');
-    out
 }
 
 /// `NAME:3x2` → `("NAME", [3, 2])`. Scalar arrays use `NAME:1`.
@@ -911,11 +994,15 @@ mod tests {
     use crate::api::Dslog;
     use crate::service::AutoCommitPolicy;
 
-    fn spawn_test_server(opts: ServeOptions) -> (Arc<DslogService>, NetServer) {
+    fn test_service() -> Arc<DslogService> {
         let mut db = Dslog::new();
         db.define_array("A", &[8]).unwrap();
         db.define_array("B", &[8]).unwrap();
-        let service = Arc::new(DslogService::new(db, AutoCommitPolicy::manual()));
+        Arc::new(DslogService::new(db, AutoCommitPolicy::manual()))
+    }
+
+    fn spawn_test_server(opts: ServeOptions) -> (Arc<DslogService>, NetServer) {
+        let service = test_service();
         let server = NetServer::spawn(Arc::clone(&service), "127.0.0.1:0", opts).unwrap();
         (service, server)
     }
@@ -935,6 +1022,210 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         line.trim().to_string()
+    }
+
+    /// Send one request and return the raw response line, `'\n'` included.
+    fn roundtrip_raw(
+        reader: &mut BufReader<TcpStream>,
+        writer: &mut TcpStream,
+        req: &str,
+    ) -> String {
+        writer.write_all(req.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    }
+
+    /// Golden response bytes. Responses without the `stats` word are
+    /// byte-identical across protocol versions, so these pins must never
+    /// change to accommodate a rendering refactor.
+    #[test]
+    fn golden_response_bytes() {
+        let (_service, server) = spawn_test_server(ServeOptions {
+            workers: 1,
+            ..ServeOptions::default()
+        });
+        let (mut r, mut w) = connect(server.local_addr());
+        // Mutations over the wire are attributed to the peer address, which
+        // `stats` reports as the current `wal_actor`.
+        let actor = format!("net:{}", w.local_addr().unwrap());
+        let mut send = |req: &str| roundtrip_raw(&mut r, &mut w, req);
+        assert_eq!(
+            send("define M:4x4"),
+            "{\"ok\":true,\"defined\":\"M\",\"shape\":[4,4]}\n"
+        );
+        assert_eq!(
+            send("define N:4"),
+            "{\"ok\":true,\"defined\":\"N\",\"shape\":[4]}\n"
+        );
+        assert!(
+            send("ingest M N 0,0,0;0,0,1;0,2,3;1,1,1;1,3,0;1,3,1;1,3,2").contains("\"ok\":true")
+        );
+        assert!(send("ingest A B 0,1;1,2;2,3").contains("\"ok\":true"));
+        // `query` with several 2-D boxes.
+        assert_eq!(
+            send("query N,M 0;1"),
+            "{\"ok\":true,\"hops\":1,\"cells\":7,\
+             \"boxes\":[[[0,0],[0,1]],[[1,1],[1,1]],[[2,2],[3,3]],[[3,3],[0,2]]]}\n"
+        );
+        // `query ... stats`.
+        assert_eq!(
+            send("query B,A 1 stats"),
+            "{\"ok\":true,\"hops\":1,\"cells\":1,\"boxes\":[[[2,2]]],\
+             \"stats\":{\"rows_probed\":1,\"rows_matched\":1,\"plan\":\"path_order\",\
+             \"hops\":[{\"probed\":1,\"matched\":1,\"boxes\":1,\"indexed\":true,\"threads\":1}]}}\n"
+        );
+        // `query_batch` with an empty member result.
+        assert_eq!(
+            send("query_batch B,A 1|7|0;2"),
+            "{\"ok\":true,\"hops\":1,\"results\":[{\"cells\":1,\"boxes\":[[[2,2]]]},\
+             {\"cells\":0,\"boxes\":[]},{\"cells\":2,\"boxes\":[[[1,1]],[[3,3]]]}]}\n"
+        );
+        // `stats`, with its `config` object.
+        assert_eq!(
+            send("stats"),
+            format!(
+                "{{\"ok\":true,\"arrays\":4,\"edges\":2,\"pending_edges\":2,\"edges_ingested\":2,\
+                 \"queries\":5,\"commits\":0,\"auto_commits\":0,\"failed_commits\":0,\
+                 \"last_commit_error\":null,\"epoch\":4,\"generation\":null,\"compactions\":0,\
+                 \"config\":{{\"lazy\":false,\"as_of\":null,\"gzip\":null,\"wal_actor\":\"{actor}\",\
+                 \"wal_retention\":0,\"compress\":{{\"fast\":true,\"parallel\":true}},\
+                 \"query\":{{\"merge\":true,\"use_index\":true,\"parallel\":true,\"use_planner\":true}},\
+                 \"composite\":{{\"enabled\":true,\"hit_threshold\":3}},\
+                 \"auto_compact_generations\":null}}}}\n"
+            )
+        );
+        // An error whose message holds a quote, a backslash and control
+        // characters (the request line is echoed back in the message).
+        assert_eq!(
+            send("bogus \"q\\\u{1}\tz"),
+            "{\"ok\":false,\"error\":\"bad request `bogus \\\"q\\\\\\u0001\\tz`; \
+             expected define/ingest/query/query_batch/commit/stats/history/quit/shutdown\"}\n"
+        );
+        server.stop();
+        server.join();
+    }
+
+    /// A response sink that records every `write` call separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Run one in-memory session over `script`; return how it ended and
+    /// every write call it made.
+    fn run_script(shared: &NetShared, script: &str) -> (SessionFlow, Vec<String>) {
+        let mut out = Responder::new(CountingWriter::default());
+        let flow = run_session(&mut script.as_bytes(), &mut out, shared, "test").unwrap();
+        let writes = out.out.writes.into_iter();
+        (
+            flow,
+            writes.map(|w| String::from_utf8(w).unwrap()).collect(),
+        )
+    }
+
+    /// Every write is one whole response: a single `'\n'`, at the end.
+    fn assert_one_line_per_write(writes: &[String]) {
+        for w in writes {
+            assert!(w.ends_with('\n'), "{w:?}");
+            assert_eq!(w.matches('\n').count(), 1, "{w:?}");
+        }
+    }
+
+    #[test]
+    fn every_response_is_one_write() {
+        let dir = std::env::temp_dir().join(format!("dslog-net-framing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = Dslog::new();
+        db.define_array("A", &[8]).unwrap();
+        db.define_array("B", &[8]).unwrap();
+        db.save(&dir, false).unwrap();
+        let service = Arc::new(DslogService::new(db, AutoCommitPolicy::manual()));
+        let shared = NetShared::new(Arc::clone(&service), ServeOptions::default());
+
+        let script = "define C:8\ningest A B 0,1;1,2;2,3\nquery B,A 1\nquery B,A 1 stats\n\
+                      query_batch B,A 1|7\nstats\ncommit\nhistory\nquery NOPE,A 1\nbogus\n\
+                      quit\nstats\n";
+        let (flow, writes) = run_script(&shared, script);
+        assert!(matches!(flow, SessionFlow::CloseSession));
+        assert_one_line_per_write(&writes);
+        let expect_prefix = [
+            "{\"ok\":true,\"defined\"",
+            "{\"ok\":true,\"edges\":1",
+            "{\"ok\":true,\"hops\":1,\"cells\":1,",
+            "{\"ok\":true,\"hops\":1,\"cells\":1,",
+            "{\"ok\":true,\"hops\":1,\"results\"",
+            "{\"ok\":true,\"arrays\":3",
+            "{\"ok\":true,\"generation\":",
+            "{\"ok\":true,\"records\":",
+            "{\"ok\":false,\"error\":",
+            "{\"ok\":false,\"error\":\"bad request",
+            "{\"ok\":true,\"closing\":\"session\"}",
+        ];
+        assert_eq!(writes.len(), expect_prefix.len(), "{writes:?}");
+        for (w, prefix) in writes.iter().zip(expect_prefix) {
+            assert!(w.starts_with(prefix), "{w:?} vs {prefix:?}");
+        }
+        assert!(writes[3].contains(",\"stats\":{"), "{}", writes[3]);
+
+        let (flow, writes) = run_script(&shared, "shutdown\nstats\n");
+        assert!(matches!(flow, SessionFlow::StopServer));
+        assert_eq!(writes, ["{\"ok\":true,\"closing\":\"server\"}\n"]);
+
+        let small = NetShared::new(
+            service,
+            ServeOptions {
+                max_line_bytes: 16,
+                ..ServeOptions::default()
+            },
+        );
+        let (flow, writes) = run_script(&small, "query B,A 1;2;3;4;5;6\nstats\n");
+        assert!(matches!(flow, SessionFlow::CloseSession));
+        assert_eq!(
+            writes,
+            ["{\"ok\":false,\"error\":\"request line exceeds 16 bytes; closing connection\"}\n"]
+        );
+        assert_eq!(small.stats().oversized_frames, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `max_line_bytes` caps the frame with its newline: `max - 1` content
+    /// bytes are served, `max` content bytes are refused.
+    #[test]
+    fn max_line_bytes_counts_the_newline() {
+        let shared = NetShared::new(
+            test_service(),
+            ServeOptions {
+                max_line_bytes: 6,
+                ..ServeOptions::default()
+            },
+        );
+        // "stats\n" is exactly 6 bytes.
+        let (_, writes) = run_script(&shared, "stats\n");
+        assert_eq!(writes.len(), 1);
+        assert!(
+            writes[0].starts_with("{\"ok\":true,\"arrays\":2"),
+            "{writes:?}"
+        );
+        // "stats \n" is 7: one byte over, although it trims to `stats`.
+        let (_, writes) = run_script(&shared, "stats \n");
+        assert_eq!(
+            writes,
+            ["{\"ok\":false,\"error\":\"request line exceeds 6 bytes; closing connection\"}\n"]
+        );
+        assert_eq!(shared.stats().oversized_frames, 1);
     }
 
     #[test]

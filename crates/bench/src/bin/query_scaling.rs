@@ -1,30 +1,25 @@
-//! Query-engine scaling bench. Four experiments:
+//! Query-engine scaling bench. Three experiments:
 //!
 //! 1. **Single-hop access path** — rows vs p50 latency, indexed probe vs
 //!    the nested-loop scan ablation, on a worst-case (incompressible
 //!    scatter) edge. Bar: indexed ≥ 5× scan at 100k rows.
-//! 2. **Multi-hop planning** — an 8-hop scatter chain whose *last* hop is
-//!    nearly empty (skewed selectivity). The cost-based planner must
-//!    detect the skew, run its selective-first backpass, and beat the
-//!    strict path-order chain ≥ 2× at full scale.
-//! 3. **Composite edges** — an 8-hop chain queried repeatedly: past the
+//! 2. **Composite edges** — an 8-hop chain queried repeatedly: past the
 //!    hit threshold the planner materializes the joined path as one
 //!    compressed table, and a composite hit must beat re-executing the
 //!    chain ≥ 5× at full scale.
-//! 4. **Batched queries** — 1000 queries sharing a 3-hop path with heavy
+//! 3. **Batched queries** — 1000 queries sharing a 3-hop path with heavy
 //!    cell overlap; the deduplicated batch sweep must beat a per-query
 //!    loop ≥ 3× at full scale.
 //!
 //! Every timed comparison asserts cell-for-cell parity first. Emits an
-//! aligned table on stdout and machine-readable `BENCH_query.json` in the
-//! working directory.
+//! aligned table on stdout and machine-readable `BENCH_query.json` (with
+//! `nproc` and `scale`) in the working directory.
 //!
 //! Run: `cargo run -p dslog-bench --release --bin query_scaling [--scale f]`
 
 use dslog::api::{Dslog, TableCapture};
 use dslog::query::QueryOptions;
 use dslog::reuse::CompositePolicy;
-use dslog::storage::Materialize;
 use dslog::table::LineageTable;
 use dslog_bench::{cli_scale_seed, p50, secs, timed, TextTable};
 use dslog_workloads::edges;
@@ -153,61 +148,7 @@ fn versus(reps: usize, mut fast: impl FnMut(), mut slow: impl FnMut()) -> Versus
     }
 }
 
-/// Experiment 2: 8-hop chain, skewed so the last hop is nearly empty.
-/// Planner (selective-first backpass) vs strict path order.
-fn measure_multi_hop(n: usize, reps: usize) -> (usize, Versus) {
-    const HOPS: usize = 8;
-    let mut db = Dslog::new();
-    // Reverse orientations materialized so the backpass is available;
-    // composites disabled so this series isolates the reordering win.
-    db.storage_mut().set_materialize(Materialize::Both);
-    db.set_composite_policy(CompositePolicy {
-        enabled: false,
-        ..CompositePolicy::default()
-    });
-    scatter_chain(&mut db, HOPS - 1, n);
-    let support = (n / 1000).max(4);
-    db.define_array(&format!("S{HOPS}"), &[n]).unwrap();
-    db.add_lineage(
-        &format!("S{HOPS}"),
-        &format!("S{}", HOPS - 1),
-        &TableCapture::new(sparse_edge(n, support)),
-    )
-    .unwrap();
-
-    let names = chain_path(HOPS);
-    let path: Vec<&str> = names.iter().map(String::as_str).collect();
-    let start = (n / 3) as i64;
-    let cells: Vec<Vec<i64>> = (start..start + 1024.min(n as i64 / 4))
-        .map(|v| vec![v])
-        .collect();
-
-    let on = db.prov_query_opts(&path, &cells, opts(true)).unwrap();
-    let off = db.prov_query_opts(&path, &cells, opts(false)).unwrap();
-    assert_eq!(
-        on.cells.cell_set(),
-        off.cells.cell_set(),
-        "planner parity violation on skewed chain"
-    );
-    let decision = on.stats.plan.as_ref().unwrap().decision.label();
-    assert_eq!(
-        decision, "selective_first",
-        "planner failed to detect the skewed hop"
-    );
-
-    let v = versus(
-        reps,
-        || {
-            db.prov_query_opts(&path, &cells, opts(true)).unwrap();
-        },
-        || {
-            db.prov_query_opts(&path, &cells, opts(false)).unwrap();
-        },
-    );
-    (support, v)
-}
-
-/// Experiment 3: 8-hop chain whose first hop has a small support, queried
+/// Experiment 2: 8-hop chain whose first hop has a small support, queried
 /// repeatedly. Composite hit vs re-executing the path.
 fn measure_composite(n: usize, reps: usize) -> (usize, Versus) {
     const HOPS: usize = 8;
@@ -270,7 +211,7 @@ fn measure_composite(n: usize, reps: usize) -> (usize, Versus) {
     (support, v)
 }
 
-/// Experiment 4: 1000 queries over a 3-hop chain, 4 cells each drawn from
+/// Experiment 3: 1000 queries over a 3-hop chain, 4 cells each drawn from
 /// a 64-cell pool (heavy overlap). One batch sweep vs a per-query loop,
 /// planner off on both sides to isolate the batching win.
 fn measure_batch(n: usize, reps: usize) -> (usize, Versus) {
@@ -344,22 +285,15 @@ fn main() {
     }
     println!("{}", table.render());
 
-    // Multi-hop planning / composite / batch experiments share a chain
-    // size scaled off 100k rows per hop.
+    // The composite and batch experiments share a chain size scaled off
+    // 100k rows per hop.
     let n = ((100_000f64 * scale) as usize).max(1_000);
     let full_scale = scale >= 1.0;
 
-    let (mh_support, mh) = measure_multi_hop(n, 9);
     let (co_support, co) = measure_composite(n, 9);
     let (ba_queries, ba) = measure_batch(n, 5);
 
     let mut t2 = TextTable::new(&["experiment", "fast p50", "baseline p50", "speedup"]);
-    t2.row(&[
-        format!("planner 8-hop skewed (n={n})"),
-        secs(mh.fast_p50),
-        secs(mh.slow_p50),
-        format!("{:.1}x", mh.speedup),
-    ]);
     t2.row(&[
         format!("composite hit (n={n})"),
         secs(co.fast_p50),
@@ -376,11 +310,6 @@ fn main() {
 
     if full_scale {
         assert!(
-            mh.speedup >= 2.0,
-            "planner speedup {:.2}x below the 2x bar on the skewed 8-hop chain",
-            mh.speedup
-        );
-        assert!(
             co.speedup >= 5.0,
             "composite-hit speedup {:.2}x below the 5x bar",
             co.speedup
@@ -392,12 +321,11 @@ fn main() {
         );
     }
 
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\"bench\":\"query_scaling\",\"scale\":{scale},\"hop\":\"backward\",\"query_cells\":8,\"reps\":{reps},\"series\":[{json_rows}],\
-         \"multi_hop\":{{\"hops\":8,\"rows\":{n},\"support\":{mh_support},\"plan\":\"selective_first\",\"planner_p50_s\":{:.9},\"no_planner_p50_s\":{:.9},\"speedup\":{:.2}}},\
+        "{{\"bench\":\"query_scaling\",\"nproc\":{nproc},\"scale\":{scale},\"hop\":\"backward\",\"query_cells\":8,\"reps\":{reps},\"series\":[{json_rows}],\
          \"composite\":{{\"hops\":8,\"rows\":{n},\"support\":{co_support},\"hit_p50_s\":{:.9},\"reexec_p50_s\":{:.9},\"speedup\":{:.2}}},\
          \"batch\":{{\"queries\":{ba_queries},\"hops\":3,\"rows\":{n},\"batch_p50_s\":{:.9},\"loop_p50_s\":{:.9},\"speedup\":{:.2}}}}}\n",
-        mh.fast_p50, mh.slow_p50, mh.speedup,
         co.fast_p50, co.slow_p50, co.speedup,
         ba.fast_p50, ba.slow_p50, ba.speedup,
     );

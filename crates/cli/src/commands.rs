@@ -82,10 +82,10 @@ stream (one command per line, from --script FILE or stdin):
   history                     print the database's operation log
   quit                        stop (implied at end of stream)
 
-`query` plans each path with the cost-based planner (empty-hop pruning,
-selective-hop reordering, composite-edge reuse); --no-planner runs the
-literal path order for ablation. --stats prints the planner decision
-and per-hop probe counts.
+`query` runs each path in path order, or as one probe of a composite
+edge once the path is hot (the planner); --no-planner runs the literal
+path order with no composites, for ablation. --stats prints the
+planner decision and per-hop probe counts.
 
 Commits are incremental: only edges added or re-derived since the last
 commit are written; everything else is re-referenced by the new

@@ -433,29 +433,6 @@ impl Dslog {
         self.storage.compress_options()
     }
 
-    /// Enable/disable the per-hop merge step (the `DSLog-NoMerge` ablation).
-    pub fn set_merge(&mut self, merge: bool) {
-        self.query_options.merge = merge;
-    }
-
-    /// Enable/disable the sorted interval index on the query path (the
-    /// scan-vs-probe ablation; `false` restores the nested-loop engine).
-    pub fn set_use_index(&mut self, use_index: bool) {
-        self.query_options.use_index = use_index;
-    }
-
-    /// Enable/disable multi-threaded hop execution.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.query_options.parallel = parallel;
-    }
-
-    /// Enable/disable the cost-based multi-hop planner (the planner
-    /// ablation; `false` restores the paper's strict path-order chain).
-    /// See [`crate::query::plan`].
-    pub fn set_use_planner(&mut self, use_planner: bool) {
-        self.query_options.use_planner = use_planner;
-    }
-
     /// Override the composite-edge materialization policy (hit threshold
     /// and size caps; see [`crate::reuse::CompositePolicy`]).
     pub fn set_composite_policy(&mut self, policy: crate::reuse::CompositePolicy) {

@@ -40,10 +40,9 @@
 //! The optional trailing `stats` word asks for per-query execution
 //! statistics: `"stats":{"rows_probed":n,"rows_matched":n,"plan":"...",
 //! "hops":[{"probed":n,"matched":n,"boxes":n,"indexed":b,"threads":t},..]}`.
-//! `plan` is the planner decision label (`path_order` / `empty_edge` /
-//! `selective_first` / `composite`), or `off` when the planner is
-//! disabled. Responses without the `stats` word are byte-identical to the
-//! previous protocol version.
+//! `plan` is the planner decision label (`path_order` / `composite`), or
+//! `off` when the planner is disabled. Responses without the `stats` word
+//! are byte-identical to the previous protocol version.
 //!
 //! ## Framing
 //!
@@ -868,7 +867,7 @@ fn render_config(out: &mut String, c: &crate::api::DslogConfig) {
         "{{\"lazy\":{},\"as_of\":{},\"gzip\":{},\"wal_actor\":{},\"wal_retention\":{},\
          \"compress\":{{\"fast\":{},\"parallel\":{}}},\
          \"query\":{{\"merge\":{},\"use_index\":{},\"parallel\":{},\"use_planner\":{}}},\
-         \"composite\":{{\"enabled\":{},\"hit_threshold\":{}}},\
+         \"composite\":{{\"hit_threshold\":{}}},\
          \"auto_compact_generations\":{}}}",
         c.lazy,
         OrNull(c.as_of),
@@ -881,7 +880,6 @@ fn render_config(out: &mut String, c: &crate::api::DslogConfig) {
         c.query.use_index,
         c.query.parallel,
         c.query.use_planner,
-        c.composite_policy.enabled,
         c.composite_policy.hit_threshold,
         OrNull(c.maintenance.auto_compact_generations)
     );
@@ -1092,7 +1090,7 @@ mod tests {
                  \"config\":{{\"lazy\":false,\"as_of\":null,\"gzip\":null,\"wal_actor\":\"{actor}\",\
                  \"wal_retention\":0,\"compress\":{{\"fast\":true,\"parallel\":true}},\
                  \"query\":{{\"merge\":true,\"use_index\":true,\"parallel\":true,\"use_planner\":true}},\
-                 \"composite\":{{\"enabled\":true,\"hit_threshold\":3}},\
+                 \"composite\":{{\"hit_threshold\":3}},\
                  \"auto_compact_generations\":null}}}}\n"
             )
         );

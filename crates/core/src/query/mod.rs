@@ -15,13 +15,17 @@
 //! behind [`QueryOptions::use_index`]` = false` as an ablation, and
 //! [`reference`](mod@reference) holds the brute-force decompressed-join
 //! oracle both paths are tested against.
+//!
+//! Hops run in path order. The one exception is [`plan`]: a multi-hop
+//! path the planner keeps seeing is materialized once as a composite edge
+//! and then served as a single probe.
 
 pub mod exec;
 pub mod plan;
 pub mod reference;
 
 pub use exec::{theta_join, HopStats, QueryExec, QueryStats};
-pub use plan::{HopEstimate, PlanDecision, PlanReport};
+pub use plan::{PlanDecision, PlanReport};
 
 use crate::error::Result;
 use crate::table::{BoxTable, CompressedTable};
@@ -41,12 +45,12 @@ pub struct QueryOptions {
     /// Minimum number of query boxes in a hop before threads are spawned;
     /// `0` disables parallelism outright.
     pub parallel_threshold: usize,
-    /// Run the cost-based multi-hop planner ([`plan`]): estimate per-hop
-    /// selectivity from cheap index probes, prune provably-empty hops,
-    /// reorder around the most selective hop via a semi-join backpass, and
-    /// serve hot paths from materialized composite edges. Disabling this
-    /// is the planner ablation: hops run strictly in path order, exactly
-    /// as the paper describes.
+    /// Run the multi-hop planner ([`plan`]), which means exactly: composite
+    /// edges on. Hot multi-hop paths are materialized once and served as a
+    /// single probe; every other query runs in path order. Disabling this
+    /// is the paper's strict-chain ablation: no composite is counted,
+    /// built or served, and hops run strictly in path order, exactly as
+    /// the paper describes.
     pub use_planner: bool,
 }
 

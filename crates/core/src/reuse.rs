@@ -50,11 +50,10 @@ impl ArgValue {
 /// in the storage manager keyed by the path, and served as a single probe
 /// on later queries (the multi-hop analogue of §VI's "store derived
 /// lineage, serve it instead of recomputing"). Ingesting into any member
-/// edge invalidates the composite.
+/// edge invalidates the composite. Composites are on exactly when the
+/// planner is ([`crate::query::QueryOptions::use_planner`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompositePolicy {
-    /// Master switch; when off, paths are never counted or served.
-    pub enabled: bool,
     /// Planner sightings of a path before it is materialized.
     pub hit_threshold: u32,
     /// Cap on the first-array support volume enumerated during
@@ -69,7 +68,6 @@ pub struct CompositePolicy {
 impl Default for CompositePolicy {
     fn default() -> Self {
         Self {
-            enabled: true,
             hit_threshold: 3,
             max_support_cells: 1 << 16,
             max_rows: 1 << 20,

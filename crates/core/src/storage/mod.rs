@@ -235,17 +235,6 @@ impl Edge {
             }
         }
     }
-
-    /// The table for `orientation` only if it is already decoded in memory.
-    /// Unlike [`stored`](Self::stored) this never touches disk — the
-    /// planner's peek path uses it so estimating a query can't force lazy
-    /// loads of orientations the query won't run.
-    fn resident(&self, orientation: Orientation) -> Option<Arc<CompressedTable>> {
-        match &self.slot(orientation).read().source {
-            Some(TableSource::Loaded(t)) => Some(Arc::clone(t)),
-            _ => None,
-        }
-    }
 }
 
 impl Edge {
@@ -351,21 +340,6 @@ pub enum HopDirection {
     Backward,
     /// Query moves input → output: needs the forward orientation.
     Forward,
-}
-
-/// Side-effect-free view of one hop, for the query planner
-/// ([`StorageManager::peek_hop`]).
-#[derive(Debug, Clone)]
-pub(crate) struct HopPeek {
-    /// The stored table in the hop's needed orientation, if materialized
-    /// (no derivation is triggered).
-    pub(crate) table: Option<Arc<CompressedTable>>,
-    /// Whether the edge's relation is known to hold zero rows (from either
-    /// in-memory orientation — content is orientation-independent).
-    pub(crate) known_empty: bool,
-    /// Whether the available table is generalized (symbolic cells — not
-    /// indexable, and a direct hop over it errors).
-    pub(crate) generalized: bool,
 }
 
 /// Lifecycle of one composite-edge registry entry.
@@ -801,15 +775,15 @@ impl StorageManager {
         })
     }
 
-    /// Planner-side view of the hop `from → to`, with **none** of
+    /// The stored table for the hop `from → to`, with **none** of
     /// [`resolve_hop`](Self::resolve_hop)'s side effects: hit counters do
-    /// not move and a missing orientation is *not* derived (the hop may be
-    /// pruned and never run). Lazy on-disk slots in the needed orientation
-    /// are loaded — execution would load them anyway — but the opposite
-    /// slot is only consulted if already in memory. Returns `None` when no
-    /// edge connects the pair, or when a lazy load fails (execution will
-    /// surface that error itself).
-    pub(crate) fn peek_hop(&self, from: &str, to: &str) -> Option<HopPeek> {
+    /// not move and a missing orientation is *not* derived (composite
+    /// materialization must not derive what path order would not). A lazy
+    /// on-disk slot in the needed orientation is loaded. Returns `None`
+    /// when no edge connects the pair, when the needed orientation is not
+    /// materialized, or when a lazy load fails (execution will surface
+    /// that error itself).
+    pub(crate) fn peek_hop(&self, from: &str, to: &str) -> Option<Arc<CompressedTable>> {
         let (edge, orientation) =
             if let Some(e) = self.edges.get(&(to.to_string(), from.to_string())) {
                 (e, Orientation::Backward)
@@ -818,19 +792,7 @@ impl StorageManager {
             } else {
                 return None;
             };
-        let table = edge.stored(orientation, true).ok()?;
-        let other = edge.resident(orientation.flip());
-        let known_empty = table.as_ref().map(|t| t.is_empty()).unwrap_or(false)
-            || other.as_ref().is_some_and(|t| t.is_empty());
-        let generalized = table
-            .as_ref()
-            .or(other.as_ref())
-            .is_some_and(|t| t.is_generalized());
-        Some(HopPeek {
-            table,
-            known_empty,
-            generalized,
-        })
+        edge.stored(orientation, true).ok()?
     }
 
     /// Override the composite-edge policy (see [`CompositePolicy`]).
@@ -850,7 +812,7 @@ impl StorageManager {
     /// so a skipped materialization (e.g. tables not resident) retries.
     pub(crate) fn observe_composite(&self, path: &[String]) -> CompositeProbe {
         let policy = self.composite_policy();
-        if !policy.enabled || path.len() < 3 {
+        if path.len() < 3 {
             return CompositeProbe::Pass;
         }
         let mut map = self.composites.write();
@@ -1207,13 +1169,11 @@ mod tests {
     #[test]
     fn peek_hop_is_side_effect_free() {
         let s = manager_with_edge();
-        let peek = s.peek_hop("B", "A").unwrap();
-        assert!(peek.table.is_some());
-        assert!(!peek.known_empty && !peek.generalized);
+        let table = s.peek_hop("B", "A").unwrap();
+        assert!(!table.is_empty() && !table.is_generalized());
         // Peeking the underived forward orientation reports no table and
         // must not derive it.
-        let fwd = s.peek_hop("A", "B").unwrap();
-        assert!(fwd.table.is_none());
+        assert!(s.peek_hop("A", "B").is_none());
         assert!(s.peek_hop("B", "Z").is_none());
         // No hit counters moved.
         let stats = s.edge_stats();
